@@ -8,8 +8,10 @@ declared outputs were written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import unicodedata
 from pathlib import Path
 
 from .alignment import alignment_report, collect_alignments
@@ -30,27 +32,9 @@ from .decoding import DecodeConfig, beam_decode, greedy_decode_batch
 from .model import ModelConfig, build_params, extract_cross_attention
 from .training import TrainConfig, checkpoint_load, checkpoint_save, train
 
-_MODEL_DEFAULTS = {
-    "encoder_kind": "standard",
-    "d_model": 512,
-    "n_layers": 6,
-    "n_heads": 8,
-    "d_ff": 0,
-    "conv_windows": [3, 5, 7],
-    "fuse_window": 3,
-    "dropout": 0.1,
-    "max_len": 512,
-}
-_TRAIN_DEFAULTS = {
-    "epochs": 10,
-    "max_tokens": 4096,
-    "warmup": 400,
-    "seed": 0,
-    "label_smoothing": 0.1,
-    "clip_norm": 1.0,
-    "bleu_mode": "whitespace",
-    "early_stop_bleu": 0.0,
-}
+_MODEL_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ModelConfig)
+                   if f.name != "vocab_size"}
+_TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
 _DATA_DEFAULTS = {
     "corpora": [],   # [{"src": path, "tgt": path, "lang": name}, ...]
     "val": [],
@@ -58,13 +42,6 @@ _DATA_DEFAULTS = {
     "translit": None,
     "min_count": 1,
 }
-_EVAL_DEFAULTS = {
-    "strategy": "greedy",
-    "beam_size": 1,
-    "max_len_ratio": 3.0,
-    "length_penalty": 0.0,
-}
-_ANALYZE_DEFAULTS = {"n": 500, "grid": [32, 32], "k": 10, "reg": 1e-4}
 _CORPUS_ENTRY_KEYS = ("src", "tgt", "lang")
 
 
@@ -75,8 +52,7 @@ def resolve_run_config(doc: dict) -> dict:
     single error so every typo surfaces at once.
     """
     sections = {"model": _MODEL_DEFAULTS, "train": _TRAIN_DEFAULTS,
-                "data": _DATA_DEFAULTS, "eval": _EVAL_DEFAULTS,
-                "analyze": _ANALYZE_DEFAULTS}
+                "data": _DATA_DEFAULTS}
     if not isinstance(doc, dict):
         raise ValueError("config root must be a JSON object")
     for name in doc:
@@ -112,10 +88,11 @@ def _load_entry(entry: dict, table: TransliterationTable | None) -> ParallelCorp
 
 
 def _read_input_lines(path) -> list[str]:
+    """Lines of a UTF-8 file, NFC-normalized as training data is."""
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    return lines
+    return [unicodedata.normalize("NFC", line) for line in lines]
 
 
 def _write_lines(path, lines: list[str]) -> None:
@@ -171,13 +148,16 @@ def cmd_translate(args) -> None:
     if unknown:
         print(f"note: {unknown} characters outside the checkpoint vocabulary "
               f"were encoded as UNK", file=sys.stderr)
+    for i, line in enumerate(lines, start=1):
+        if len(line) + 1 > bundle.config.max_len:  # the source ids end in EOS
+            raise ValueError(f"line {i}: source needs {len(line) + 1} tokens, "
+                             f"over the model's max_len {bundle.config.max_len}")
     if args.beam >= 2:
-        dcfg = DecodeConfig(strategy="beam", beam_size=args.beam)
+        dcfg = DecodeConfig(beam_size=args.beam)
         hyps = [beam_decode(bundle.params, bundle.config, line, bundle.vocab, dcfg)
                 for line in lines]
     else:
-        hyps = greedy_decode_batch(bundle.params, bundle.config, lines, bundle.vocab,
-                                   DecodeConfig())
+        hyps = greedy_decode_batch(bundle.params, bundle.config, lines, bundle.vocab)
     _write_lines(args.out, hyps)
     if args.dump_attn:
         from .alignment import dump_matrix

@@ -228,9 +228,9 @@ class Batch:
 
     ``tgt_in_ids`` is the BOS-prefixed decoder input and ``tgt_out_ids``
     the EOS-terminated prediction target; the two are the same sequence
-    shifted by one. Masks are True at real (non-PAD) positions, and the
-    input/output target masks coincide because BOS and EOS pad the two
-    views to the same length.
+    shifted by one. Masks are True at real (non-PAD) positions; ``tgt_mask``
+    serves both target views because BOS and EOS pad them to the same
+    length.
     """
 
     src_ids: np.ndarray
@@ -238,10 +238,6 @@ class Batch:
     tgt_out_ids: np.ndarray
     src_mask: np.ndarray
     tgt_mask: np.ndarray
-
-    @property
-    def tgt_in_mask(self) -> np.ndarray:
-        return self.tgt_mask
 
     @property
     def size(self) -> int:
@@ -279,7 +275,7 @@ def batch_from_rows(rows: list[tuple[list[int], list[int], list[int]]]) -> Batch
 
 
 def make_batches(corpus: ParallelCorpus, vocab: Vocabulary, max_tokens: int,
-                 seed: int, sort_mode: str = "length-bucketed") -> list[Batch]:
+                 seed: int) -> list[Batch]:
     """Pack the corpus into padded batches with B*max(T_s, T_t) <= max_tokens.
 
     Pairs are shuffled by seed, then stably sorted by source length so each
@@ -287,8 +283,6 @@ def make_batches(corpus: ParallelCorpus, vocab: Vocabulary, max_tokens: int,
     appears exactly once. A pair that cannot fit in a batch alone is
     rejected with its 1-based position in the corpus.
     """
-    if sort_mode != "length-bucketed":
-        raise ValueError(f"unknown sort_mode {sort_mode!r}")
     if len(corpus.pairs) == 0:
         return []
     encoded = [encode_pair(src, tgt, vocab) for src, tgt in corpus.pairs]

@@ -1,13 +1,14 @@
-"""Greedy and beam-search decoding.
+"""Decoding: one batched beam search; greedy is beam width 1.
 
-Both strategies are deterministic: argmax ties break toward the lowest
-token id, and beam candidates are ranked by (score, ids) so equal scores
-resolve lexicographically. A hard length cap derived from the source
+The search is deterministic: hypotheses are ranked by (score desc, ids
+asc), so equal scores resolve lexicographically and a greedy step's ties
+go to the lowest token id. A hard length cap derived from the source
 length guarantees termination on arbitrary (e.g. untrained) models.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,23 +32,18 @@ from .model import (
 )
 from .tensor import ParameterSet, Tensor, no_grad
 
-DECODE_STRATEGIES = ("greedy", "beam")
-
 
 @dataclass
 class DecodeConfig:
-    strategy: str = "greedy"
+    """Search settings; ``beam_size`` 1 is greedy decoding."""
+
     beam_size: int = 1
     max_len_ratio: float = 3.0    # cap = ratio * source length + 10
     length_penalty: float = 0.0   # score = logP / length^penalty
 
     def __post_init__(self):
-        if self.strategy not in DECODE_STRATEGIES:
-            raise ValueError(f"strategy must be one of {DECODE_STRATEGIES}")
         if self.beam_size < 1:
             raise ValueError("beam_size must be >= 1")
-        if self.strategy == "beam" and self.beam_size < 2:
-            raise ValueError("beam strategy requires beam_size >= 2")
         if self.max_len_ratio <= 0:
             raise ValueError("max_len_ratio must be positive")
         if self.length_penalty < 0:
@@ -64,52 +60,70 @@ def _gen_batch(src_ids: np.ndarray, src_mask: np.ndarray, tgt_in: np.ndarray) ->
     return Batch(src_ids, tgt_in, tgt_in, src_mask, mask)
 
 
-def _src_rows(srcs: list[str], vocab: Vocabulary) -> list[list[int]]:
-    return [encode(s, vocab) + [EOS_ID] for s in srcs]
+def _search(params: ParameterSet, config: ModelConfig, srcs: list[str],
+            vocab: Vocabulary, cfg: DecodeConfig, width: int) -> list[str]:
+    """Beam search of width ``width`` over a batch of sources.
 
-
-def greedy_decode_batch(params: ParameterSet, config: ModelConfig, srcs: list[str],
-                        vocab: Vocabulary, cfg: DecodeConfig | None = None) -> list[str]:
-    """Greedy-decode many sources at once; equivalent to sentence-by-sentence
-    decoding because padded positions are masked out of every sub-layer."""
-    cfg = cfg if cfg is not None else DecodeConfig()
+    A hypothesis is (-score, ids, logP, finished), so tuple order is the
+    ranking. Every step runs the decoder on the live hypotheses of the
+    rows still searching; a row leaves once all of its kept hypotheses
+    have emitted EOS or reached its cap. Finished hypotheses keep
+    competing for beam slots with frozen scores.
+    """
     if not srcs:
         return []
-    rows = _src_rows(srcs, vocab)
-    caps = np.asarray([_length_cap(len(r), cfg, config) for r in rows])
+    rows = [encode(s, vocab) + [EOS_ID] for s in srcs]
+    caps = [_length_cap(len(r), cfg, config) for r in rows]
     b, t_s = len(rows), max(len(r) for r in rows)
     src = np.zeros((b, t_s), dtype=np.int64)
     src_mask = np.zeros((b, t_s), dtype=bool)
     for i, r in enumerate(rows):
         src[i, :len(r)] = r
         src_mask[i, :len(r)] = True
+    beams = [[(0.0, (), 0.0, False)] for _ in rows]
     with no_grad():
         enc_out = encoder_forward(_gen_batch(src, src_mask, np.full((b, 1), BOS_ID)),
-                                  params, config)
-        gen = np.zeros((b, 0), dtype=np.int64)
-        done = np.zeros(b, dtype=bool)
-        for step in range(int(caps.max())):
-            tgt_in = np.concatenate([np.full((b, 1), BOS_ID, dtype=np.int64), gen], axis=1)
-            batch = _gen_batch(src, src_mask, tgt_in)
-            logits, _ = decoder_forward(batch, enc_out, params, config)
-            nxt = np.argmax(logits.data[:, -1, :], axis=-1)
-            gen = np.concatenate([gen, nxt[:, None]], axis=1)
-            done |= (nxt == EOS_ID) | (step + 1 >= caps)
-            if done.all():
+                                  params, config).data
+        for step in itertools.count(1):
+            live = [(r, h) for r, beam in enumerate(beams) for h in beam if not h[3]]
+            if not live:
                 break
-    outs = []
-    for i in range(b):
-        ids = gen[i, :caps[i]].tolist()
-        if EOS_ID in ids:
-            ids = ids[:ids.index(EOS_ID)]
-        outs.append(decode(ids, vocab))
-    return outs
+            owner = np.asarray([r for r, _ in live])
+            tgt_in = np.asarray([(BOS_ID,) + h[1] for _, h in live], dtype=np.int64)
+            logits, _ = decoder_forward(_gen_batch(src[owner], src_mask[owner], tgt_in),
+                                        Tensor(enc_out[owner]), params, config)
+            last = logits.data[:, -1, :]
+            last = last - last.max(axis=-1, keepdims=True)
+            logp_tok = last - np.log(np.exp(last).sum(axis=-1, keepdims=True))
+            # every live hypothesis has step - 1 ids, so its expansions all have step
+            logp = np.asarray([h[2] for _, h in live])[:, None] + logp_tok
+            neg_score = -(logp / step ** cfg.length_penalty)
+            # a hypothesis can place only its own top `width` in the beam; keep ties too
+            k = min(width, neg_score.shape[1])
+            top = np.argpartition(neg_score, k - 1, axis=1)[:, k - 1:k]
+            kth = np.take_along_axis(neg_score, top, axis=1)
+            cands = {r: [h for h in beams[r] if h[3]] for r in set(owner.tolist())}
+            for j, tok in zip(*np.nonzero(neg_score <= kth)):
+                r, (_, ids, _, _) = live[j]
+                tok = int(tok)
+                cands[r].append((float(neg_score[j, tok]), ids + (tok,), float(logp[j, tok]),
+                                 tok == EOS_ID or step >= caps[r]))
+            for r, cand in cands.items():
+                beams[r] = sorted(cand)[:width]
+    return [decode(beam[0][1], vocab) for beam in beams]
+
+
+def greedy_decode_batch(params: ParameterSet, config: ModelConfig, srcs: list[str],
+                        vocab: Vocabulary, cfg: DecodeConfig | None = None) -> list[str]:
+    """Greedy-decode many sources at once; equivalent to sentence-by-sentence
+    decoding because padded positions are masked out of every sub-layer."""
+    return _search(params, config, srcs, vocab, cfg or DecodeConfig(), 1)
 
 
 def greedy_decode(params: ParameterSet, config: ModelConfig, src: str,
                   vocab: Vocabulary, cfg: DecodeConfig | None = None
                   ) -> tuple[str, list[AttentionMap]]:
-    """Decode one sentence by stepwise argmax (ties to the lowest id).
+    """Greedy-decode one sentence (beam width 1, ties to the lowest id).
 
     The returned attention maps are the last-layer, head-averaged
     cross-attention of the model teacher-forced on its own output, so the
@@ -126,46 +140,8 @@ def beam_decode(params: ParameterSet, config: ModelConfig, src: str,
     """Length-normalized beam search over one sentence.
 
     Hypotheses are scored by logP / length^penalty; finished hypotheses
-    keep competing for beam slots with frozen scores. beam_size=1
-    reproduces the greedy output exactly.
+    keep competing for beam slots with frozen scores. beam_size=1 is
+    greedy decoding.
     """
-    cfg = cfg if cfg is not None else DecodeConfig(strategy="beam", beam_size=4)
-    src_ids = _src_rows([src], vocab)[0]
-    cap = _length_cap(len(src_ids), cfg, config)
-    src_row = np.asarray([src_ids], dtype=np.int64)
-    src_mask = np.ones((1, len(src_ids)), dtype=bool)
-
-    def score(logp: float, ids: tuple[int, ...]) -> float:
-        return logp / (len(ids) ** cfg.length_penalty) if ids else logp
-
-    with no_grad():
-        enc_out = encoder_forward(_gen_batch(src_row, src_mask, np.full((1, 1), BOS_ID)),
-                                  params, config)
-        hyps: list[tuple[tuple[int, ...], float, bool]] = [((), 0.0, False)]
-        while True:
-            live = [h for h in hyps if not h[2]]
-            if not live:
-                break
-            b = len(live)
-            tgt_in = np.asarray([(BOS_ID,) + ids for ids, _, _ in live], dtype=np.int64)
-            enc_rep = Tensor(np.repeat(enc_out.data, b, axis=0))
-            batch = _gen_batch(np.repeat(src_row, b, axis=0),
-                               np.repeat(src_mask, b, axis=0), tgt_in)
-            logits, _ = decoder_forward(batch, enc_rep, params, config)
-            last = logits.data[:, -1, :]
-            last = last - last.max(axis=-1, keepdims=True)
-            logp_tok = last - np.log(np.exp(last).sum(axis=-1, keepdims=True))
-            candidates = [h for h in hyps if h[2]]
-            for row, (ids, logp, _) in enumerate(live):
-                for tok in range(logp_tok.shape[1]):
-                    new_ids = ids + (tok,)
-                    new_logp = logp + float(logp_tok[row, tok])
-                    finished = tok == EOS_ID or len(new_ids) >= cap
-                    candidates.append((new_ids, new_logp, finished))
-            candidates.sort(key=lambda h: (-score(h[1], h[0]), h[0]))
-            hyps = candidates[:cfg.beam_size]
-    best_ids, _, _ = min(hyps, key=lambda h: (-score(h[1], h[0]), h[0]))
-    ids = list(best_ids)
-    if EOS_ID in ids:
-        ids = ids[:ids.index(EOS_ID)]
-    return decode(ids, vocab)
+    cfg = cfg or DecodeConfig(beam_size=4)
+    return _search(params, config, [src], vocab, cfg, cfg.beam_size)[0]

@@ -368,7 +368,7 @@ def decoder_forward(batch, enc_out: Tensor, params: ParameterSet, config: ModelC
         raise ShapeError("target id out of vocabulary range")
     t = ids.shape[1]
     x = _embed(ids, params, "tgt_embed", config, train_mode, rng)
-    self_mask = _causal_mask(t)[None, None, :, :] & batch.tgt_in_mask[:, None, None, :]
+    self_mask = _causal_mask(t)[None, None, :, :] & batch.tgt_mask[:, None, None, :]
     cross_mask = batch.src_mask[:, None, None, :]
     cross_maps: list[Tensor] = []
     for i in range(config.n_layers):
@@ -393,8 +393,7 @@ def model_forward(batch, params: ParameterSet, config: ModelConfig,
     return decoder_forward(batch, enc_out, params, config, train_mode, rng)
 
 
-def extract_cross_attention(batch, params: ParameterSet, config: ModelConfig,
-                            layer: str = "last", head_mode: str = "mean"
+def extract_cross_attention(batch, params: ParameterSet, config: ModelConfig
                             ) -> list[AttentionMap]:
     """Last-layer cross-attention per sentence, averaged over heads.
 
@@ -404,10 +403,6 @@ def extract_cross_attention(batch, params: ParameterSet, config: ModelConfig,
     """
     from .tensor import no_grad
 
-    if layer != "last":
-        raise ValueError("only layer='last' is supported")
-    if head_mode != "mean":
-        raise ValueError("only head_mode='mean' is supported")
     with no_grad():
         _, cross_maps = model_forward(batch, params, config)
     last = cross_maps[-1].data.mean(axis=1)  # [B, T_t, T_s]

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import unicodedata
 
 import numpy as np
 import pytest
@@ -103,8 +104,8 @@ def test_resolve_config_fills_defaults():
     assert resolved["model"]["d_model"] == 16
     assert resolved["model"]["n_layers"] == 6
     assert resolved["train"]["warmup"] == 400
-    assert resolved["eval"]["strategy"] == "greedy"
-    assert resolved["analyze"]["grid"] == [32, 32]
+    with pytest.raises(ValueError, match="unknown config keys: eval"):
+        resolve_run_config({"eval": {"beam_size": 1}})
 
 
 def test_resolve_config_rejects_all_unknown_keys_at_once():
@@ -230,6 +231,37 @@ def test_translate_beam_flag(tmp_path):
     assert main(["translate", "--ckpt", str(ckpt), "--in", str(infile),
                  "--out", str(out_beam), "--beam", "3"]) == 0
     assert len(out_beam.read_text().splitlines()) == 2
+
+
+def test_translate_normalizes_input_to_nfc(tmp_path):
+    vocab = build_vocab([ParallelCorpus(pairs=[("abé", "abé")])], 1)
+    config = ModelConfig(vocab_size=vocab.size, d_model=16, n_layers=1,
+                         n_heads=2, d_ff=32, max_len=64, dropout=0.0)
+    ckpt = tmp_path / "model.ckpt"
+    checkpoint_save(build_params(config, seed=3), config, vocab, None, ckpt)
+    outputs = []
+    for form in ("NFC", "NFD"):
+        infile = tmp_path / f"{form}.txt"
+        outfile = tmp_path / f"{form}.out"
+        dump = tmp_path / f"{form}.attn"
+        infile.write_text(unicodedata.normalize(form, "abé\nébé\n"), encoding="utf-8")
+        assert main(["translate", "--ckpt", str(ckpt), "--in", str(infile),
+                     "--out", str(outfile), "--dump-attn", str(dump)]) == 0
+        # the attention dumps record the source length the model saw
+        outputs.append([outfile.read_bytes()] +
+                       [(dump / f"line{i}.txt").read_bytes() for i in (1, 2)])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("beam", ["1", "4"])
+def test_translate_overlong_line_names_it(tmp_path, capsys, beam):
+    ckpt, _, config, _ = _tiny_checkpoint(tmp_path)
+    infile = tmp_path / "in.txt"
+    infile.write_text("ab\n" + "a" * config.max_len + "\nba\n")
+    code = main(["translate", "--ckpt", str(ckpt), "--in", str(infile),
+                 "--out", str(tmp_path / "out.txt"), "--beam", beam])
+    assert code == 1
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_translate_notes_unknown_characters(tmp_path, capsys):

@@ -27,10 +27,6 @@ def _toy_model(seed=0, d_model=16, n_layers=1, max_len=64, chars="abcd"):
 
 def test_decode_config_validation():
     with pytest.raises(ValueError):
-        DecodeConfig(strategy="sampled")
-    with pytest.raises(ValueError):
-        DecodeConfig(strategy="beam", beam_size=1)
-    with pytest.raises(ValueError):
         DecodeConfig(beam_size=0)
     with pytest.raises(ValueError):
         DecodeConfig(max_len_ratio=0.0)
@@ -114,7 +110,7 @@ def test_greedy_attention_maps_cover_output():
 
 def test_beam_size_one_equals_greedy():
     params, config, vocab = _toy_model(seed=15)
-    cfg = DecodeConfig(strategy="greedy", beam_size=1)
+    cfg = DecodeConfig(beam_size=1)
     for src in ("ab", "abcd", "dc"):
         assert beam_decode(params, config, src, vocab, cfg) == \
             greedy_decode_batch(params, config, [src], vocab)[0]
@@ -124,7 +120,7 @@ def test_beam_single_step_equals_exhaustive():
     # cap of 1 via max_len=2: every candidate finishes after one token, so
     # a beam as wide as the vocabulary IS exhaustive search
     params, config, vocab = _toy_model(seed=16, max_len=2)
-    cfg = DecodeConfig(strategy="beam", beam_size=config.vocab_size)
+    cfg = DecodeConfig(beam_size=config.vocab_size)
     out = beam_decode(params, config, "a", vocab, cfg)
     ref, _ = exhaustive_best_sequence(params, config, "a", vocab, length_penalty=0.0)
     assert out == ref
@@ -133,7 +129,7 @@ def test_beam_single_step_equals_exhaustive():
 def test_beam_matches_exhaustive_on_short_horizon():
     # cap of 4 via max_len=5; enumerate every possible output sequence
     params, config, vocab = _toy_model(seed=17, max_len=5)
-    cfg = DecodeConfig(strategy="beam", beam_size=config.vocab_size)
+    cfg = DecodeConfig(beam_size=config.vocab_size)
     out = beam_decode(params, config, "ab", vocab, cfg)
     ref, _ = exhaustive_best_sequence(params, config, "ab", vocab, length_penalty=0.0)
     assert out == ref
@@ -141,8 +137,8 @@ def test_beam_matches_exhaustive_on_short_horizon():
 
 def test_beam_length_penalty_changes_scoring():
     params, config, vocab = _toy_model(seed=18, max_len=5)
-    plain = DecodeConfig(strategy="beam", beam_size=config.vocab_size)
-    long_pref = DecodeConfig(strategy="beam", beam_size=config.vocab_size,
+    plain = DecodeConfig(beam_size=config.vocab_size)
+    long_pref = DecodeConfig(beam_size=config.vocab_size,
                              length_penalty=2.0)
     out = beam_decode(params, config, "ab", vocab, long_pref)
     ref, _ = exhaustive_best_sequence(params, config, "ab", vocab, length_penalty=2.0)
@@ -153,7 +149,7 @@ def test_beam_length_penalty_changes_scoring():
 
 def test_beam_deterministic():
     params, config, vocab = _toy_model(seed=19)
-    cfg = DecodeConfig(strategy="beam", beam_size=4)
+    cfg = DecodeConfig(beam_size=4)
     assert beam_decode(params, config, "abcd", vocab, cfg) == \
         beam_decode(params, config, "abcd", vocab, cfg)
 
