@@ -9,6 +9,7 @@ from .alignment import (
     alignment_report,
     cca_mean_correlation,
     collect_alignments,
+    cross_attention_maps,
     project_to_grid,
 )
 from .bleu import corpus_bleu
@@ -29,9 +30,8 @@ from .data import (
     mix_corpora,
     transliterate,
 )
-from .decoding import DecodeConfig, beam_decode, greedy_decode, greedy_decode_batch
+from .decoding import DecodeConfig, beam_decode, greedy_decode_batch
 from .model import (
-    AttentionMap,
     ModelConfig,
     build_params,
     conv_sub_block,

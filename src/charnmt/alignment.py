@@ -25,12 +25,10 @@ _COLLECT_CHUNK = 32
 
 @dataclass
 class AlignmentSample:
-    """One sentence's head-averaged cross-attention and its true lengths."""
+    """One sentence's head-averaged cross-attention, [target_len x source_len]."""
 
     sentence_id: int
     matrix: np.ndarray
-    source_len: int
-    target_len: int
 
 
 @dataclass
@@ -67,6 +65,18 @@ class CcaReport:
     test_lang: str = ""
 
 
+def cross_attention_maps(params: ParameterSet, config: ModelConfig,
+                         pairs: list[tuple[str, str]], vocab: Vocabulary) -> list[np.ndarray]:
+    """Last-layer, head-averaged cross-attention of each (source, target)
+    pair under teacher forcing, batched in chunks of _COLLECT_CHUNK pairs."""
+    maps: list[np.ndarray] = []
+    for start in range(0, len(pairs), _COLLECT_CHUNK):
+        chunk = pairs[start:start + _COLLECT_CHUNK]
+        batch = batch_from_rows([encode_pair(src, tgt, vocab) for src, tgt in chunk])
+        maps += extract_cross_attention(batch, params, config)
+    return maps
+
+
 def collect_alignments(params: ParameterSet, config: ModelConfig,
                        pairs: list[tuple[str, str]], vocab: Vocabulary,
                        n: int, seed: int, model_tag: str = "",
@@ -79,15 +89,8 @@ def collect_alignments(params: ParameterSet, config: ModelConfig,
         raise ValueError(f"sample size {n} must be in [1, {len(pairs)}]")
     rng = np.random.Generator(np.random.PCG64(seed))
     ids = sorted(rng.choice(len(pairs), size=n, replace=False).tolist())
-    samples: list[AlignmentSample] = []
-    for start in range(0, n, _COLLECT_CHUNK):
-        chunk = ids[start:start + _COLLECT_CHUNK]
-        batch = batch_from_rows([encode_pair(*pairs[i], vocab) for i in chunk])
-        maps = extract_cross_attention(batch, params, config)
-        for sid, amap in zip(chunk, maps):
-            samples.append(AlignmentSample(sentence_id=sid, matrix=amap.matrix,
-                                           source_len=amap.source_len,
-                                           target_len=amap.target_len))
+    maps = cross_attention_maps(params, config, [pairs[i] for i in ids], vocab)
+    samples = [AlignmentSample(sentence_id=sid, matrix=m) for sid, m in zip(ids, maps)]
     return AlignmentSet(samples=samples, model_tag=model_tag, language_tag=language_tag)
 
 

@@ -14,7 +14,7 @@ import sys
 import unicodedata
 from pathlib import Path
 
-from .alignment import alignment_report, collect_alignments
+from .alignment import alignment_report, collect_alignments, cross_attention_maps, dump_matrix
 from .bleu import corpus_bleu
 from .data import (
     ParallelCorpus,
@@ -22,14 +22,12 @@ from .data import (
     UNK_ID,
     Vocabulary,
     build_vocab,
-    batch_from_rows,
-    encode_pair,
     load_parallel,
     mix_corpora,
     transliterate,
 )
 from .decoding import DecodeConfig, beam_decode, greedy_decode_batch
-from .model import ModelConfig, build_params, extract_cross_attention
+from .model import ModelConfig, build_params
 from .training import TrainConfig, checkpoint_load, checkpoint_save, train
 
 _MODEL_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ModelConfig)
@@ -138,6 +136,7 @@ def cmd_train(args) -> None:
 
 
 def cmd_translate(args) -> None:
+    dcfg = DecodeConfig(beam_size=args.beam)
     bundle = checkpoint_load(args.ckpt)
     table = _load_table(args.translit)
     lines = _read_input_lines(args.infile)
@@ -152,22 +151,19 @@ def cmd_translate(args) -> None:
         if len(line) + 1 > bundle.config.max_len:  # the source ids end in EOS
             raise ValueError(f"line {i}: source needs {len(line) + 1} tokens, "
                              f"over the model's max_len {bundle.config.max_len}")
-    if args.beam >= 2:
-        dcfg = DecodeConfig(beam_size=args.beam)
+    if dcfg.beam_size >= 2:
         hyps = [beam_decode(bundle.params, bundle.config, line, bundle.vocab, dcfg)
                 for line in lines]
     else:
-        hyps = greedy_decode_batch(bundle.params, bundle.config, lines, bundle.vocab)
+        hyps = greedy_decode_batch(bundle.params, bundle.config, lines, bundle.vocab, dcfg)
     _write_lines(args.out, hyps)
     if args.dump_attn:
-        from .alignment import dump_matrix
-
         dump_dir = Path(args.dump_attn)
         dump_dir.mkdir(parents=True, exist_ok=True)
-        for i, (src, hyp) in enumerate(zip(lines, hyps), start=1):
-            batch = batch_from_rows([encode_pair(src, hyp, bundle.vocab)])
-            amap = extract_cross_attention(batch, bundle.params, bundle.config)[0]
-            dump_matrix(amap.matrix, dump_dir / f"line{i}.txt")
+        maps = cross_attention_maps(bundle.params, bundle.config, list(zip(lines, hyps)),
+                                    bundle.vocab)
+        for i, matrix in enumerate(maps, start=1):
+            dump_matrix(matrix, dump_dir / f"line{i}.txt")
 
 
 def cmd_score(args) -> None:

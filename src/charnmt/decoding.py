@@ -20,15 +20,11 @@ from .data import (
     Vocabulary,
     decode,
     encode,
-    encode_pair,
-    batch_from_rows,
 )
 from .model import (
-    AttentionMap,
     ModelConfig,
     decoder_forward,
     encoder_forward,
-    extract_cross_attention,
 )
 from .tensor import ParameterSet, Tensor, no_grad
 
@@ -118,21 +114,6 @@ def greedy_decode_batch(params: ParameterSet, config: ModelConfig, srcs: list[st
     """Greedy-decode many sources at once; equivalent to sentence-by-sentence
     decoding because padded positions are masked out of every sub-layer."""
     return _search(params, config, srcs, vocab, cfg or DecodeConfig(), 1)
-
-
-def greedy_decode(params: ParameterSet, config: ModelConfig, src: str,
-                  vocab: Vocabulary, cfg: DecodeConfig | None = None
-                  ) -> tuple[str, list[AttentionMap]]:
-    """Greedy-decode one sentence (beam width 1, ties to the lowest id).
-
-    The returned attention maps are the last-layer, head-averaged
-    cross-attention of the model teacher-forced on its own output, so the
-    rows cover every produced position, the EOS-producing one included.
-    """
-    out = greedy_decode_batch(params, config, [src], vocab, cfg)[0]
-    batch = batch_from_rows([encode_pair(src, out, vocab)])
-    maps = extract_cross_attention(batch, params, config)
-    return out, maps
 
 
 def beam_decode(params: ParameterSet, config: ModelConfig, src: str,

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from .tensor import (
     init_param,
     layer_norm,
     matmul,
+    no_grad,
     relu,
     reshape,
     seed_for_name,
@@ -60,7 +60,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.d_ff == 0:
             self.d_ff = 4 * self.d_model
-        self.conv_windows = tuple(int(w) for w in self.conv_windows)
+        self.conv_windows = tuple(sorted(int(w) for w in self.conv_windows))
         if self.encoder_kind not in ENCODER_KINDS:
             raise ValueError(f"encoder_kind must be one of {ENCODER_KINDS}")
         if self.vocab_size <= 0 or self.n_layers <= 0 or self.n_heads <= 0:
@@ -72,45 +72,19 @@ class ModelConfig:
         for w in self.conv_windows + (self.fuse_window,):
             if w % 2 == 0 or w < 1:
                 raise ValueError("conv windows must be odd and >= 1")
+        if len(set(self.conv_windows)) != len(self.conv_windows):
+            raise ValueError(f"conv windows must be distinct, got {self.conv_windows}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if self.max_len <= 0:
             raise ValueError("max_len must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "d_ff": self.d_ff,
-            "encoder_kind": self.encoder_kind,
-            "conv_windows": list(self.conv_windows),
-            "fuse_window": self.fuse_window,
-            "dropout": self.dropout,
-            "max_len": self.max_len,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["conv_windows"] = tuple(d.get("conv_windows", (3, 5, 7)))
         return cls(**d)
-
-
-@dataclass
-class AttentionMap:
-    """One sentence's attention matrix, trimmed to real (non-pad) lengths.
-
-    ``matrix`` is [target_len x source_len] with row-stochastic entries;
-    ``head`` is a head index or "mean" for the head average.
-    """
-
-    matrix: np.ndarray
-    layer: int
-    head: Union[int, str]
-    source_len: int
-    target_len: int
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +237,7 @@ def multi_head_attention(x_q: Tensor, x_kv: Tensor, params: ParameterSet, prefix
     return out, attn
 
 
-def conv_sub_block(m: Tensor, params: ParameterSet, prefix: str,
+def conv_sub_block(m: Tensor, params: ParameterSet, prefix: str, windows: tuple[int, ...],
                    pad_mask: np.ndarray | None = None) -> Tensor:
     """Convolutional sub-block: m + fuse(concat(conv_w(m) for each window)).
 
@@ -272,9 +246,9 @@ def conv_sub_block(m: Tensor, params: ParameterSet, prefix: str,
     every conv weight and bias zero this is exactly the identity. Pad
     positions of the conv input are zeroed (``pad_mask`` True = real) so
     outputs at real positions do not depend on how much trailing padding a
-    batch carries; the residual keeps ``m`` untouched.
+    batch carries; the residual keeps ``m`` untouched. The branches are
+    concatenated in the order of ``windows``.
     """
-    windows = _windows_of(params, prefix)
     x = m
     if pad_mask is not None:
         x = m * Tensor(pad_mask[..., None].astype(float))
@@ -285,14 +259,6 @@ def conv_sub_block(m: Tensor, params: ParameterSet, prefix: str,
         fused_in = fused_in * Tensor(pad_mask[..., None].astype(float))
     fused = conv1d_same(fused_in, params[f"{prefix}.fuse.weight"], params[f"{prefix}.fuse.bias"])
     return m + fused
-
-
-def _windows_of(params: ParameterSet, prefix: str) -> list[int]:
-    widths = sorted(int(name[len(prefix) + 2:-len(".weight")])
-                    for name in params.names()
-                    if name.startswith(f"{prefix}.w") and name.endswith(".weight")
-                    and ".fuse." not in name)
-    return widths
 
 
 def _ffn(x: Tensor, params: ParameterSet, prefix: str) -> Tensor:
@@ -341,7 +307,7 @@ def encoder_forward(batch, params: ParameterSet, config: ModelConfig,
     key_mask = src_mask[:, None, None, :]  # [B,1,1,T_s]
     for i in range(config.n_layers):
         if config.encoder_kind == "conv":
-            x = conv_sub_block(x, params, f"enc.{i}.conv", src_mask)
+            x = conv_sub_block(x, params, f"enc.{i}.conv", config.conv_windows, src_mask)
         a, _ = multi_head_attention(x, x, params, f"enc.{i}.attn", config.n_heads, key_mask)
         x = _sublayer(x, a, params, f"enc.{i}.attn_norm", config.dropout, train_mode, rng)
         f = _ffn(x, params, f"enc.{i}.ff")
@@ -394,15 +360,14 @@ def model_forward(batch, params: ParameterSet, config: ModelConfig,
 
 
 def extract_cross_attention(batch, params: ParameterSet, config: ModelConfig
-                            ) -> list[AttentionMap]:
+                            ) -> list[np.ndarray]:
     """Last-layer cross-attention per sentence, averaged over heads.
 
-    Rows cover every target position (the EOS-producing one included),
-    columns cover real source positions only; rows are renormalized to sum
-    to 1 after the head average.
+    Each matrix is [target_len x source_len]: rows cover every target
+    position (the EOS-producing one included), columns cover real source
+    positions only; rows are renormalized to sum to 1 after the head
+    average.
     """
-    from .tensor import no_grad
-
     with no_grad():
         _, cross_maps = model_forward(batch, params, config)
     last = cross_maps[-1].data.mean(axis=1)  # [B, T_t, T_s]
@@ -411,7 +376,5 @@ def extract_cross_attention(batch, params: ParameterSet, config: ModelConfig
         t_len = int(batch.tgt_mask[row].sum())
         s_len = int(batch.src_mask[row].sum())
         m = last[row, :t_len, :s_len]
-        m = m / m.sum(axis=-1, keepdims=True)
-        out.append(AttentionMap(matrix=m, layer=config.n_layers - 1, head="mean",
-                                source_len=s_len, target_len=t_len))
+        out.append(m / m.sum(axis=-1, keepdims=True))
     return out

@@ -102,9 +102,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -545,9 +542,6 @@ class ParameterSet:
     def zero_grad(self) -> None:
         for _, t in self.items():
             t.zero_grad()
-
-    def total_size(self) -> int:
-        return sum(t.size for _, t in self.items())
 
     def copy(self) -> "ParameterSet":
         out = ParameterSet()

@@ -155,9 +155,6 @@ class TrainConfig:
         if self.bleu_mode not in ("whitespace", "char"):
             raise ValueError("bleu_mode must be 'whitespace' or 'char'")
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class StepRecord:
@@ -395,21 +392,26 @@ def checkpoint_load(path) -> CheckpointBundle:
     config = ModelConfig.from_dict(header["config"])
     vocab = Vocabulary(chars=tuple(header["vocab_chars"]))
     expected = param_shapes(config)
-    params = ParameterSet()
-    for name, shape in expected.items():
-        key = f"param/{name}"
+
+    def record(kind: str, name: str) -> np.ndarray:
+        key = f"{kind}/{name}"
+        what = f"parameter '{name}'" if kind == "param" else f"Adam moment '{key}'"
         if key not in records:
-            raise ValueError(f"checkpoint is missing parameter '{name}'")
+            raise ValueError(f"checkpoint is missing {what}")
         arr = records[key]
-        if arr.shape != shape:
-            raise ValueError(f"checkpoint parameter '{name}' has shape {arr.shape}, "
-                             f"model wants {shape}")
-        params.add(name, Tensor(arr, requires_grad=True))
+        if arr.shape != expected[name]:
+            raise ValueError(f"checkpoint {what} has shape {arr.shape}, "
+                             f"model wants {expected[name]}")
+        return arr
+
+    params = ParameterSet()
+    for name in expected:
+        params.add(name, Tensor(record("param", name), requires_grad=True))
     adam = None
     if header["adam"] is not None:
         h = header["adam"]
-        adam = AdamState(m={n: records[f"adam.m/{n}"] for n in expected},
-                         v={n: records[f"adam.v/{n}"] for n in expected},
+        adam = AdamState(m={n: record("adam.m", n) for n in expected},
+                         v={n: record("adam.v", n) for n in expected},
                          t=h["t"], beta1=h["beta1"], beta2=h["beta2"], eps=h["eps"],
                          scale=h.get("scale", 1.0))
     return CheckpointBundle(params=params, config=config, vocab=vocab, adam=adam,

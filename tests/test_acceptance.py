@@ -94,7 +94,7 @@ def test_02_residual_identity():
     std_logits, _ = model_forward(batch, std_params, std_cfg)
     logits_equal = np.array_equal(conv_logits.data, std_logits.data)
     maps_equal = all(
-        np.array_equal(a.matrix, b.matrix)
+        np.array_equal(a, b)
         for a, b in zip(extract_cross_attention(batch, conv_params, conv_cfg),
                         extract_cross_attention(batch, std_params, std_cfg)))
     _verdict(2, logits_equal and maps_equal,

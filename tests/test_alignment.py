@@ -5,8 +5,8 @@ import pytest
 
 from charnmt.alignment import (AlignmentSample, alignment_report,
                                cca_mean_correlation, collect_alignments,
-                               dump_matrix, project_to_grid,
-                               write_reports_csv)
+                               cross_attention_maps, dump_matrix,
+                               project_to_grid, write_reports_csv)
 from charnmt.data import ParallelCorpus, build_vocab
 from charnmt.model import ModelConfig, build_params
 from oracles import bilinear_eval
@@ -43,9 +43,11 @@ def test_collect_all_pairs_covers_every_id(align_setup):
     params, config, vocab, pairs = align_setup
     aset = collect_alignments(params, config, pairs, vocab, n=len(pairs), seed=0)
     assert aset.sentence_ids() == list(range(len(pairs)))
-    for s, (src, tgt) in zip(aset.samples, pairs):
+    maps = cross_attention_maps(params, config, pairs, vocab)
+    for s, m, (src, tgt) in zip(aset.samples, maps, pairs):
         assert s.matrix.shape == (len(tgt) + 1, len(src) + 1)
-        assert (s.target_len, s.source_len) == s.matrix.shape
+        assert np.array_equal(s.matrix, m)
+    assert cross_attention_maps(params, config, [], vocab) == []
 
 
 def test_collect_rows_are_stochastic(align_setup):
@@ -83,8 +85,7 @@ def test_collect_validates_sample_size(align_setup):
 
 def _sample(matrix):
     m = np.asarray(matrix, dtype=np.float64)
-    return AlignmentSample(sentence_id=0, matrix=m,
-                           source_len=m.shape[1], target_len=m.shape[0])
+    return AlignmentSample(sentence_id=0, matrix=m)
 
 
 def test_projection_is_identity_at_native_size():

@@ -8,6 +8,7 @@ import unicodedata
 import numpy as np
 import pytest
 
+from charnmt.alignment import cross_attention_maps
 from charnmt.cli import main, resolve_run_config
 from charnmt.data import ParallelCorpus, build_vocab
 from charnmt.decoding import greedy_decode_batch
@@ -233,6 +234,19 @@ def test_translate_beam_flag(tmp_path):
     assert len(out_beam.read_text().splitlines()) == 2
 
 
+@pytest.mark.parametrize("beam", ["0", "-2"])
+def test_translate_rejects_beam_below_one(tmp_path, capsys, beam):
+    ckpt, *_ = _tiny_checkpoint(tmp_path)
+    infile = tmp_path / "in.txt"
+    infile.write_text("ab\n")
+    outfile = tmp_path / "out.txt"
+    code = main(["translate", "--ckpt", str(ckpt), "--in", str(infile),
+                 "--out", str(outfile), "--beam", beam])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not outfile.exists()
+
+
 def test_translate_normalizes_input_to_nfc(tmp_path):
     vocab = build_vocab([ParallelCorpus(pairs=[("abé", "abé")])], 1)
     config = ModelConfig(vocab_size=vocab.size, d_model=16, n_layers=1,
@@ -286,6 +300,24 @@ def test_translate_dumps_attention(tmp_path):
     for i, (src, hyp) in enumerate(zip(["ab", "baab"], hyps), start=1):
         header = (dump / f"line{i}.txt").read_text().splitlines()[0].split()
         assert [int(v) for v in header] == [len(hyp) + 1, len(src) + 1]
+
+
+def test_translate_dumps_attention_values_past_one_chunk(tmp_path):
+    ckpt, params, config, vocab = _tiny_checkpoint(tmp_path, seed=2)
+    srcs = [SRC_LINES[i % len(SRC_LINES)] * (1 + i % 3) for i in range(37)]
+    infile = tmp_path / "in.txt"
+    outfile = tmp_path / "out.txt"
+    infile.write_text("\n".join(srcs) + "\n")
+    dump = tmp_path / "attn"
+    assert main(["translate", "--ckpt", str(ckpt), "--in", str(infile),
+                 "--out", str(outfile), "--dump-attn", str(dump)]) == 0
+    hyps = outfile.read_text().split("\n")[:-1]
+    maps = cross_attention_maps(params, config, list(zip(srcs, hyps)), vocab)
+    assert len(maps) == len(srcs) == len(list(dump.iterdir()))
+    for i, m in enumerate(maps, start=1):
+        back = np.loadtxt(dump / f"line{i}.txt", skiprows=1, ndmin=2)
+        assert back.shape == m.shape
+        assert np.allclose(back, m, rtol=1e-7, atol=0.0)
 
 
 def test_translate_missing_checkpoint(tmp_path, capsys):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from charnmt.alignment import cross_attention_maps
 from charnmt.bleu import corpus_bleu
 from charnmt.data import EOS_ID, ParallelCorpus, build_vocab
-from charnmt.decoding import (DecodeConfig, beam_decode, greedy_decode,
-                              greedy_decode_batch)
+from charnmt.decoding import DecodeConfig, beam_decode, greedy_decode_batch
 from charnmt.model import ModelConfig, build_params
 from oracles import brute_bleu, exhaustive_best_sequence
 
@@ -48,10 +48,11 @@ def test_greedy_immediate_eos_gives_empty_string():
     params, config, vocab = _toy_model()
     _zeroed(params)
     params["out.bias"].data[EOS_ID] = 10.0
-    out, maps = greedy_decode(params, config, "abc", vocab)
+    out = greedy_decode_batch(params, config, ["abc"], vocab)[0]
+    maps = cross_attention_maps(params, config, [("abc", out)], vocab)
     assert out == ""
     # one map for the sentence: a single EOS-producing row over src + EOS
-    assert maps[0].matrix.shape == (1, 4)
+    assert maps[0].shape == (1, 4)
 
 
 def test_greedy_tie_breaks_to_lowest_id():
@@ -99,9 +100,10 @@ def test_greedy_deterministic():
 
 def test_greedy_attention_maps_cover_output():
     params, config, vocab = _toy_model(seed=14)
-    out, maps = greedy_decode(params, config, "abcd", vocab)
-    assert maps[0].matrix.shape == (len(out) + 1, 5)  # +1 EOS row, src+EOS cols
-    assert np.allclose(maps[0].matrix.sum(axis=-1), 1.0, atol=1e-6)
+    out = greedy_decode_batch(params, config, ["abcd"], vocab)[0]
+    maps = cross_attention_maps(params, config, [("abcd", out)], vocab)
+    assert maps[0].shape == (len(out) + 1, 5)  # +1 EOS row, src+EOS cols
+    assert np.allclose(maps[0].sum(axis=-1), 1.0, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

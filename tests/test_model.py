@@ -45,6 +45,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(vocab_size=10, conv_windows=(3, 4, 7))
     with pytest.raises(ValueError):
+        ModelConfig(vocab_size=10, conv_windows=(3, 3, 5))
+    with pytest.raises(ValueError):
         ModelConfig(vocab_size=10, dropout=1.0)
     with pytest.raises(ValueError):
         ModelConfig(vocab_size=10, encoder_kind="recurrent")
@@ -185,13 +187,13 @@ def _conv_params(d, windows, seed, zero=False):
 def test_conv_block_zero_weights_is_identity():
     m = Tensor(rand_rng(30).normal(size=(2, 5, 8)))
     params = _conv_params(8, (3, 5, 7), 0, zero=True)
-    out = conv_sub_block(m, params, "conv")
+    out = conv_sub_block(m, params, "conv", (3, 5, 7))
     assert np.array_equal(out.data, m.data)
 
 
 def test_conv_block_single_position():
     m = Tensor(rand_rng(31).normal(size=(1, 1, 8)))
-    out = conv_sub_block(m, _conv_params(8, (3, 5, 7), 32), "conv")
+    out = conv_sub_block(m, _conv_params(8, (3, 5, 7), 32), "conv", (3, 5, 7))
     assert out.shape == (1, 1, 8)
 
 
@@ -201,7 +203,7 @@ def test_conv_block_matches_straight_line_oracle():
     d, t = 8, 5
     params = _conv_params(d, (3, 5, 7), 33)
     m = rand_rng(34).normal(size=(1, t, d))
-    out = conv_sub_block(Tensor(m), params, "conv")
+    out = conv_sub_block(Tensor(m), params, "conv", (3, 5, 7))
     ref = _sl_conv_block(m[0], weights_of(params), "conv", (3, 5, 7), None)
     assert np.allclose(out.data[0], ref, atol=1e-12)
 
@@ -209,8 +211,8 @@ def test_conv_block_matches_straight_line_oracle():
 def test_conv_block_gradients():
     params = _conv_params(4, (3, 5), 35)
     m = Tensor(rand_rng(36).normal(size=(1, 4, 4)), requires_grad=False)
-    report = grad_check(lambda p: tmean(conv_sub_block(m, p, "conv") *
-                                        conv_sub_block(m, p, "conv")), params, tol=1e-4)
+    report = grad_check(lambda p: tmean(conv_sub_block(m, p, "conv", (3, 5)) *
+                                        conv_sub_block(m, p, "conv", (3, 5))), params, tol=1e-4)
     assert report.passed, report.per_param
 
 
@@ -230,15 +232,17 @@ def test_encoder_matches_straight_line_oracle(tiny_vocab):
 
 
 def test_conv_encoder_matches_straight_line_oracle(tiny_vocab):
-    config = ModelConfig(vocab_size=tiny_vocab.size, d_model=8, n_layers=2,
-                         n_heads=2, d_ff=16, max_len=32, dropout=0.0,
-                         encoder_kind="conv")
-    params = build_params(config, seed=5)
-    batch = make_batch([("abcd", "dcba")], tiny_vocab)
-    enc = encoder_forward(batch, params, config)
-    ref = straight_line_encoder(batch.src_ids[0], batch.src_mask[0],
-                                weights_of(params), config)
-    assert np.allclose(enc.data[0], ref, atol=1e-12)
+    # windows given out of order are the same model as sorted ones
+    for windows in ((3, 5, 7), (7, 3, 5)):
+        config = ModelConfig(vocab_size=tiny_vocab.size, d_model=8, n_layers=2,
+                             n_heads=2, d_ff=16, max_len=32, dropout=0.0,
+                             encoder_kind="conv", conv_windows=windows)
+        params = build_params(config, seed=5)
+        batch = make_batch([("abcd", "dcba")], tiny_vocab)
+        enc = encoder_forward(batch, params, config)
+        ref = straight_line_encoder(batch.src_ids[0], batch.src_mask[0],
+                                    weights_of(params), config)
+        assert np.allclose(enc.data[0], ref, atol=1e-12), windows
 
 
 def test_decoder_matches_straight_line_oracle(tiny_setup):
@@ -297,7 +301,7 @@ def test_residual_identity_between_encoder_kinds(tiny_vocab):
     conv_maps = extract_cross_attention(batch, conv_params, conv_cfg)
     std_maps = extract_cross_attention(batch, std_params, std_cfg)
     for a, b in zip(conv_maps, std_maps):
-        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(a, b)
 
 
 def _padded_copy(batch, extra_src, extra_tgt):
@@ -382,13 +386,16 @@ def test_extraction_shapes_and_normalization(tiny_setup):
     params, config, vocab = tiny_setup
     batch = make_batch([("abcd", "dc"), ("ab", "dcba")], vocab)
     maps = extract_cross_attention(batch, params, config)
+    _, cross = model_forward(batch, params, config)
     assert len(maps) == 2
     for i, m in enumerate(maps):
         src_len = int(batch.src_mask[i].sum())
         tgt_len = int(batch.tgt_mask[i].sum())
-        assert m.matrix.shape == (tgt_len, src_len)
-        assert np.allclose(m.matrix.sum(axis=-1), 1.0, atol=1e-6)
-        assert m.head == "mean"
+        assert m.shape == (tgt_len, src_len)
+        assert np.allclose(m.sum(axis=-1), 1.0, atol=1e-6)
+        # the mean over the model's 2 heads of the last layer, renormalized
+        head_mean = cross[-1].data[i].mean(axis=0)[:tgt_len, :src_len]
+        assert np.allclose(m, head_mean / head_mean.sum(axis=-1, keepdims=True), atol=1e-12)
 
 
 def test_extraction_single_head_equals_that_head(tiny_vocab):
@@ -399,7 +406,7 @@ def test_extraction_single_head_equals_that_head(tiny_vocab):
     _, cross = model_forward(batch, params, config)
     maps = extract_cross_attention(batch, params, config)
     raw = cross[-1].data[0, 0]
-    assert np.allclose(maps[0].matrix, raw / raw.sum(axis=-1, keepdims=True),
+    assert np.allclose(maps[0], raw / raw.sum(axis=-1, keepdims=True),
                        atol=1e-12)
 
 

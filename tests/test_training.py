@@ -1,5 +1,8 @@
 """Loss, optimizer, schedule, the train loop, and checkpointing."""
 
+import io
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from charnmt.tensor import MaskError, NonFiniteError, ParameterSet, Tensor, mul,
 from charnmt.training import (AdamState, TrainConfig, TrainLog, adam_step,
                               checkpoint_load, checkpoint_save, clip_grad_norm,
                               evaluate, lr_at_step, masked_cross_entropy, train)
+from charnmt.training import _read_record, _write_record
 from oracles import brute_cross_entropy
 
 from conftest import make_batch, rand_rng
@@ -310,6 +314,35 @@ def test_checkpoint_rejects_truncation(tmp_path):
     with pytest.raises(ValueError) as err:
         checkpoint_load(path)
     assert "truncated" in str(err.value)
+
+
+def _rewrite_records(path, change):
+    """Pass a float64 checkpoint's records through ``change`` and write them back."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<I", raw[5:9])
+    body = io.BytesIO(raw[9 + header_len:])
+    (n_records,) = struct.unpack("<I", body.read(4))
+    records = change([_read_record(body) for _ in range(n_records)])
+    out = io.BytesIO()
+    out.write(raw[:9 + header_len])
+    out.write(struct.pack("<I", len(records)))
+    for name, arr in records:
+        _write_record(out, name, arr, "float64")
+    path.write_bytes(out.getvalue())
+
+
+@pytest.mark.parametrize("damage", ["missing", "misshapen"])
+@pytest.mark.parametrize("moment", ["adam.m", "adam.v"])
+def test_checkpoint_rejects_damaged_adam_moment(tmp_path, moment, damage):
+    *_, path = _ckpt_fixture(tmp_path)
+    key = f"{moment}/out.bias"
+    if damage == "missing":
+        _rewrite_records(path, lambda recs: [r for r in recs if r[0] != key])
+    else:
+        _rewrite_records(path, lambda recs: [(n, a[:-1] if n == key else a) for n, a in recs])
+    with pytest.raises(ValueError) as err:
+        checkpoint_load(path)
+    assert key in str(err.value)
 
 
 @pytest.mark.invariant
