@@ -67,6 +67,9 @@ def resolve_run_config(doc: dict) -> dict:
         if not isinstance(entries, list):
             raise ValueError(f"data.{listname} must be a list of corpus entries")
         for i, entry in enumerate(entries):
+            if not isinstance(entry, dict) or "src" not in entry or "tgt" not in entry:
+                raise ValueError(f"data.{listname}[{i}] must be an object with "
+                                 f"'src' and 'tgt' paths")
             offenders += [f"data.{listname}[{i}].{key}" for key in entry
                           if key not in _CORPUS_ENTRY_KEYS]
     if offenders:
@@ -83,6 +86,18 @@ def _load_entry(entry: dict, table: TransliterationTable | None) -> ParallelCorp
     if table is not None:
         corpus.pairs = [(transliterate(src, table), tgt) for src, tgt in corpus.pairs]
     return corpus
+
+
+def _check_fits(pairs: list[tuple[str, str]], src_path, tgt_path, limit: int,
+                what: str) -> None:
+    """Reject the first pair that needs more than ``limit`` tokens, naming
+    the file of its longer side and its 1-based line. A pair needs its
+    longer side plus one token: EOS ends the source, BOS starts the target."""
+    for i, (src, tgt) in enumerate(pairs, start=1):
+        need = max(len(src), len(tgt)) + 1
+        if need > limit:
+            path = src_path if len(src) >= len(tgt) else tgt_path
+            raise ValueError(f"{path}: line {i} needs {need} tokens, over {what}")
 
 
 def _read_input_lines(path) -> list[str]:
@@ -119,15 +134,20 @@ def cmd_train(args) -> None:
     corpora = [_load_entry(e, table) for e in data["corpora"]]
     if not corpora:
         raise ValueError("data.corpora is empty; nothing to train on")
+    vals = [_load_entry(e, table) for e in data["val"]]
     train_cfg = TrainConfig(**cfg["train"])
-    mixed = mix_corpora(corpora, train_cfg.seed)
     vocab = (Vocabulary.load(data["vocab"]) if data["vocab"]
              else build_vocab(corpora, data["min_count"]))
     vocab.save(out / "vocab.txt")
     model_cfg = ModelConfig(vocab_size=vocab.size, **cfg["model"])
+    limit = min(model_cfg.max_len, train_cfg.max_tokens)
+    for entry, corpus in zip(data["corpora"] + data["val"], corpora + vals):
+        _check_fits(corpus.pairs, entry["src"], entry["tgt"], limit,
+                    f"min(max_len, max_tokens) = {limit}")
+    mixed = mix_corpora(corpora, train_cfg.seed)
     params = build_params(model_cfg, train_cfg.seed)
-    val_sets = {e.get("lang") or f"val{i}": _load_entry(e, table)
-                for i, e in enumerate(data["val"])}
+    val_sets = {e.get("lang") or f"val{i}": corpus
+                for i, (e, corpus) in enumerate(zip(data["val"], vals))}
     log = train(params, model_cfg, train_cfg, mixed, vocab,
                 val_sets=val_sets or None, out_dir=out)
     log.write_csv(out / "train_log.csv")
@@ -147,10 +167,8 @@ def cmd_translate(args) -> None:
     if unknown:
         print(f"note: {unknown} characters outside the checkpoint vocabulary "
               f"were encoded as UNK", file=sys.stderr)
-    for i, line in enumerate(lines, start=1):
-        if len(line) + 1 > bundle.config.max_len:  # the source ids end in EOS
-            raise ValueError(f"line {i}: source needs {len(line) + 1} tokens, "
-                             f"over the model's max_len {bundle.config.max_len}")
+    _check_fits([(line, "") for line in lines], args.infile, None, bundle.config.max_len,
+                f"the model's max_len {bundle.config.max_len}")
     if dcfg.beam_size >= 2:
         hyps = [beam_decode(bundle.params, bundle.config, line, bundle.vocab, dcfg)
                 for line in lines]
@@ -179,13 +197,14 @@ def cmd_analyze(args) -> None:
     if len(srcs) != len(refs):
         raise ValueError(f"{len(srcs)} source lines vs {len(refs)} reference lines")
     pairs = list(zip(srcs, refs))
-    sets = []
-    for path in (args.ckpt_a, args.ckpt_b):
-        bundle = checkpoint_load(path)
-        sets.append(collect_alignments(bundle.params, bundle.config, pairs,
-                                       bundle.vocab, n=args.n, seed=args.seed,
-                                       model_tag=Path(path).stem,
-                                       language_tag=args.lang))
+    bundles = [(path, checkpoint_load(path)) for path in (args.ckpt_a, args.ckpt_b)]
+    for path, bundle in bundles:
+        _check_fits(pairs, args.src, args.ref, bundle.config.max_len,
+                    f"the max_len {bundle.config.max_len} of {path}")
+    sets = [collect_alignments(bundle.params, bundle.config, pairs, bundle.vocab, n=args.n,
+                               seed=args.seed, model_tag=Path(path).stem,
+                               language_tag=args.lang)
+            for path, bundle in bundles]
     report = alignment_report(sets[0], sets[1], grid=(args.grid, args.grid),
                               k=args.k, reg=args.reg, csv_path=args.out,
                               dump_dir=args.dump_attn)

@@ -89,12 +89,9 @@ def build_vocab(corpora: list["ParallelCorpus"], min_count: int = 1) -> Vocabula
     return Vocabulary(chars=tuple(kept))
 
 
-def encode(s: str, vocab: Vocabulary, add_bos_eos: bool = False) -> list[int]:
+def encode(s: str, vocab: Vocabulary) -> list[int]:
     """Per-character ids, unknown characters mapped to UNK."""
-    ids = [vocab.id_for(c) for c in s]
-    if add_bos_eos:
-        return [BOS_ID] + ids + [EOS_ID]
-    return ids
+    return [vocab.id_for(c) for c in s]
 
 
 def decode(ids, vocab: Vocabulary) -> str:
@@ -107,17 +104,20 @@ def decode(ids, vocab: Vocabulary) -> str:
 # transliteration
 # ---------------------------------------------------------------------------
 
+TRANSLIT_SEPARATOR = "|"
+
+
 @dataclass
 class TransliterationTable:
     """Per-character latinization map (e.g. a Wubi table for Chinese).
 
-    Every mapped output must be non-empty ASCII. ``separator`` is appended
-    after each mapped token so the latinized stream stays reversible given
-    the table; characters outside the table pass through untouched.
+    Every mapped output must be non-empty ASCII. ``TRANSLIT_SEPARATOR`` is
+    appended after each mapped token so the latinized stream stays
+    reversible given the table; characters outside the table pass through
+    untouched.
     """
 
     mapping: dict[str, str]
-    separator: str = "|"
 
     def __post_init__(self):
         for char, latin in self.mapping.items():
@@ -127,7 +127,7 @@ class TransliterationTable:
                 raise ValueError(f"mapped output for {char!r} must be non-empty ASCII")
 
     @classmethod
-    def from_tsv(cls, path, separator: str = "|") -> "TransliterationTable":
+    def from_tsv(cls, path) -> "TransliterationTable":
         """Load "char<TAB>latin" rows; duplicate characters are an error."""
         mapping: dict[str, str] = {}
         text = Path(path).read_text(encoding="utf-8")
@@ -141,7 +141,7 @@ class TransliterationTable:
             if char in mapping:
                 raise ValueError(f"{path}:{lineno}: duplicate entry for {char!r}")
             mapping[char] = latin
-        return cls(mapping=mapping, separator=separator)
+        return cls(mapping=mapping)
 
 
 def transliterate(s: str, table: TransliterationTable) -> str:
@@ -151,7 +151,7 @@ def transliterate(s: str, table: TransliterationTable) -> str:
     out = []
     for ch in s:
         latin = table.mapping.get(ch)
-        out.append(ch if latin is None else latin + table.separator)
+        out.append(ch if latin is None else latin + TRANSLIT_SEPARATOR)
     return "".join(out)
 
 

@@ -18,15 +18,16 @@ from .data import (
     EOS_ID,
     Batch,
     Vocabulary,
+    batch_from_rows,
     decode,
-    encode,
+    encode_pair,
 )
 from .model import (
     ModelConfig,
     decoder_forward,
     encoder_forward,
 )
-from .tensor import ParameterSet, Tensor, no_grad
+from .tensor import ParameterSet, Tensor, log_softmax_lastdim, no_grad
 
 
 @dataclass
@@ -68,18 +69,13 @@ def _search(params: ParameterSet, config: ModelConfig, srcs: list[str],
     """
     if not srcs:
         return []
-    rows = [encode(s, vocab) + [EOS_ID] for s in srcs]
-    caps = [_length_cap(len(r), cfg, config) for r in rows]
-    b, t_s = len(rows), max(len(r) for r in rows)
-    src = np.zeros((b, t_s), dtype=np.int64)
-    src_mask = np.zeros((b, t_s), dtype=bool)
-    for i, r in enumerate(rows):
-        src[i, :len(r)] = r
-        src_mask[i, :len(r)] = True
+    rows = [encode_pair(s, "", vocab) for s in srcs]
+    caps = [_length_cap(len(r[0]), cfg, config) for r in rows]
+    src_batch = batch_from_rows(rows)
+    src, src_mask = src_batch.src_ids, src_batch.src_mask
     beams = [[(0.0, (), 0.0, False)] for _ in rows]
     with no_grad():
-        enc_out = encoder_forward(_gen_batch(src, src_mask, np.full((b, 1), BOS_ID)),
-                                  params, config).data
+        enc_out = encoder_forward(src_batch, params, config).data
         for step in itertools.count(1):
             live = [(r, h) for r, beam in enumerate(beams) for h in beam if not h[3]]
             if not live:
@@ -88,9 +84,7 @@ def _search(params: ParameterSet, config: ModelConfig, srcs: list[str],
             tgt_in = np.asarray([(BOS_ID,) + h[1] for _, h in live], dtype=np.int64)
             logits, _ = decoder_forward(_gen_batch(src[owner], src_mask[owner], tgt_in),
                                         Tensor(enc_out[owner]), params, config)
-            last = logits.data[:, -1, :]
-            last = last - last.max(axis=-1, keepdims=True)
-            logp_tok = last - np.log(np.exp(last).sum(axis=-1, keepdims=True))
+            logp_tok = log_softmax_lastdim(Tensor(logits.data[:, -1, :])).data
             # every live hypothesis has step - 1 ids, so its expansions all have step
             logp = np.asarray([h[2] for _, h in live])[:, None] + logp_tok
             neg_score = -(logp / step ** cfg.length_penalty)

@@ -72,6 +72,8 @@ class ModelConfig:
         for w in self.conv_windows + (self.fuse_window,):
             if w % 2 == 0 or w < 1:
                 raise ValueError("conv windows must be odd and >= 1")
+        if self.encoder_kind == "conv" and not self.conv_windows:
+            raise ValueError("conv_windows must name at least one window for the conv encoder")
         if len(set(self.conv_windows)) != len(self.conv_windows):
             raise ValueError(f"conv windows must be distinct, got {self.conv_windows}")
         if not 0.0 <= self.dropout < 1.0:

@@ -112,31 +112,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __truediv__(self, other):
-        if not isinstance(other, (int, float)):
-            raise TypeError("tensor division is only supported by scalars")
-        return mul(self, _as_tensor(1.0 / other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def backward(self) -> None:
         """Populate ``grad`` on every requires_grad tensor reachable from here.
@@ -212,15 +189,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
     return _make("add", out, (a, b), backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-
-    def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _make("sub", out, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -429,10 +397,6 @@ def tsum(x: Tensor, axis: int | None = None) -> Tensor:
         return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
     return _make("sum", out, (x,), backward)
-
-
-def tmean(x: Tensor) -> Tensor:
-    return tsum(x) * (1.0 / x.size)
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:

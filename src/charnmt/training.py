@@ -9,6 +9,7 @@ checkpoint reproduces the uninterrupted trajectory bit for bit.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import time
 from dataclasses import dataclass, field
@@ -63,6 +64,9 @@ def masked_cross_entropy(logits: Tensor, tgt_out: np.ndarray, tgt_mask: np.ndarr
 # optimizer
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-9  # the Transformer's Adam
+
+
 @dataclass
 class AdamState:
     """First/second moment estimates per parameter plus the step counter."""
@@ -70,10 +74,6 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.98
-    eps: float = 1e-9
-    scale: float = 1.0
 
     @classmethod
     def for_params(cls, params: ParameterSet) -> "AdamState":
@@ -95,15 +95,15 @@ def adam_step(params: ParameterSet, state: AdamState, lr: float) -> None:
             raise NonFiniteError(f"non-finite gradient for '{name}'")
         grads[name] = g
     state.t += 1
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         g = grads[name]
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
         m_hat = state.m[name] / c1
         v_hat = state.v[name] / c2
-        p.data -= state.scale * lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def lr_at_step(step: int, d_model: int, warmup: int = 400) -> float:
@@ -299,8 +299,8 @@ def train(params: ParameterSet, config: ModelConfig, train_config: TrainConfig,
 
 CKPT_MAGIC = b"CXF1"
 CKPT_VERSION = 1
-_DTYPE_TAGS = {"float64": 0, "float32": 1}
-_TAG_DTYPES = {0: np.float64, 1: np.float32}
+_F64_TAG = 0  # the record dtype tag of little-endian float64, the only one written
+_F64 = np.dtype("<f8")
 
 
 @dataclass
@@ -313,14 +313,13 @@ class CheckpointBundle:
     epoch: int
 
 
-def _write_record(f, name: str, arr: np.ndarray, dtype: str) -> None:
-    payload = np.ascontiguousarray(arr, dtype=np.dtype(dtype).newbyteorder("<"))
+def _write_record(f, name: str, arr: np.ndarray) -> None:
     raw_name = name.encode("utf-8")
     f.write(struct.pack("<H", len(raw_name)))
     f.write(raw_name)
-    f.write(struct.pack("<BB", _DTYPE_TAGS[dtype], arr.ndim))
+    f.write(struct.pack("<BB", _F64_TAG, arr.ndim))
     f.write(struct.pack(f"<{arr.ndim}q", *arr.shape))
-    f.write(payload.tobytes())
+    f.write(np.ascontiguousarray(arr, dtype=_F64).tobytes())
 
 
 def _read_exact(f, n: int) -> bytes:
@@ -334,31 +333,29 @@ def _read_record(f) -> tuple[str, np.ndarray]:
     (name_len,) = struct.unpack("<H", _read_exact(f, 2))
     name = _read_exact(f, name_len).decode("utf-8")
     tag, ndim = struct.unpack("<BB", _read_exact(f, 2))
-    if tag not in _TAG_DTYPES:
+    if tag != _F64_TAG:
         raise ValueError(f"unknown dtype tag {tag} in checkpoint")
     shape = struct.unpack(f"<{ndim}q", _read_exact(f, 8 * ndim))
-    dtype = np.dtype(_TAG_DTYPES[tag]).newbyteorder("<")
     count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-    arr = np.frombuffer(_read_exact(f, count * dtype.itemsize), dtype=dtype)
+    arr = np.frombuffer(_read_exact(f, count * _F64.itemsize), dtype=_F64)
     return name, arr.astype(np.float64).reshape(shape)
 
 
 def checkpoint_save(params: ParameterSet, config: ModelConfig, vocab: Vocabulary,
-                    adam: AdamState | None, path, step: int = 0, epoch: int = 0,
-                    dtype: str = "float64") -> None:
-    """Binary checkpoint: magic, version byte, JSON header, then one record
-    per array (parameters, then Adam moments) in sorted name order."""
-    if dtype not in _DTYPE_TAGS:
-        raise ValueError("dtype must be 'float64' or 'float32'")
+                    adam: AdamState | None, path, step: int = 0, epoch: int = 0) -> None:
+    """Binary checkpoint: magic, version byte, JSON header, then one float64
+    record per array (parameters, then Adam moments) in sorted name order.
+
+    The file is written next to ``path`` under a temporary name, synced,
+    and renamed over ``path``, so a crash leaves the old file or the new
+    one, never a torn one.
+    """
     header = {
         "config": config.to_dict(),
         "vocab_chars": "".join(vocab.chars),
         "step": int(step),
         "epoch": int(epoch),
-        "dtype": dtype,
-        "adam": None if adam is None else {"t": adam.t, "beta1": adam.beta1,
-                                           "beta2": adam.beta2, "eps": adam.eps,
-                                           "scale": adam.scale},
+        "adam": None if adam is None else {"t": adam.t},
     }
     records: list[tuple[str, np.ndarray]] = [(f"param/{n}", p.data) for n, p in params.items()]
     if adam is not None:
@@ -366,14 +363,23 @@ def checkpoint_save(params: ParameterSet, config: ModelConfig, vocab: Vocabulary
         records += [(f"adam.v/{n}", adam.v[n]) for n in params.names()]
     records.sort(key=lambda r: r[0])
     raw_header = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<B", CKPT_VERSION))
-        f.write(struct.pack("<I", len(raw_header)))
-        f.write(raw_header)
-        f.write(struct.pack("<I", len(records)))
-        for name, arr in records:
-            _write_record(f, name, arr, dtype)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CKPT_MAGIC)
+            f.write(struct.pack("<B", CKPT_VERSION))
+            f.write(struct.pack("<I", len(raw_header)))
+            f.write(raw_header)
+            f.write(struct.pack("<I", len(records)))
+            for name, arr in records:
+                _write_record(f, name, arr)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def checkpoint_load(path) -> CheckpointBundle:
@@ -409,10 +415,8 @@ def checkpoint_load(path) -> CheckpointBundle:
         params.add(name, Tensor(record("param", name), requires_grad=True))
     adam = None
     if header["adam"] is not None:
-        h = header["adam"]
         adam = AdamState(m={n: record("adam.m", n) for n in expected},
                          v={n: record("adam.v", n) for n in expected},
-                         t=h["t"], beta1=h["beta1"], beta2=h["beta2"], eps=h["eps"],
-                         scale=h.get("scale", 1.0))
+                         t=header["adam"]["t"])
     return CheckpointBundle(params=params, config=config, vocab=vocab, adam=adam,
                             step=header["step"], epoch=header["epoch"])

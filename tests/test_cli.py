@@ -195,6 +195,59 @@ def test_train_unknown_config_key_fails(corpus_files, tmp_path, capsys):
     assert "train.optimizer" in capsys.readouterr().err
 
 
+def test_train_corpus_entry_without_src_fails(corpus_files, tmp_path, capsys):
+    _, tgt = corpus_files
+    cfg = _tiny_config(tmp_path / "unused.src", tgt)
+    del cfg["data"]["corpora"][0]["src"]
+    code = main(["train", "--config", str(_write_config(tmp_path, cfg)),
+                 "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "data.corpora[0]" in err
+
+
+def test_train_non_object_val_entry_fails(corpus_files, tmp_path, capsys):
+    cfg = _tiny_config(*corpus_files, val=[5])
+    code = main(["train", "--config", str(_write_config(tmp_path, cfg)),
+                 "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "data.val[0]" in err
+
+
+def _overlong_files(tmp_path, stem, lineno, side, length):
+    """Copies of the toy corpus whose ``side`` ("src" or "tgt") holds a run
+    of ``length`` characters on 1-based line ``lineno``."""
+    lines = {"src": list(SRC_LINES), "tgt": list(TGT_LINES)}
+    lines[side][lineno - 1] = "a" * length
+    paths = {k: tmp_path / f"{stem}.{k}" for k in lines}
+    for k, path in paths.items():
+        path.write_text("\n".join(lines[k]) + "\n")
+    return paths["src"], paths["tgt"]
+
+
+def test_train_overlong_corpus_line_names_file_and_line(tmp_path, capsys):
+    src, tgt = _overlong_files(tmp_path, "train", 3, "tgt", 20)
+    cfg = _tiny_config(src, tgt, epochs=1)
+    cfg["model"]["max_len"] = 16
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(_write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 1
+    assert f"{tgt}: line 3 needs 21 tokens" in capsys.readouterr().err
+    assert not (out / "latest.ckpt").exists()
+
+
+def test_train_overlong_val_line_fails_before_training(corpus_files, tmp_path, capsys):
+    val_src, val_tgt = _overlong_files(tmp_path, "val", 2, "src", 70)
+    val = [{"src": str(val_src), "tgt": str(val_tgt)}]
+    cfg = _tiny_config(*corpus_files, epochs=1, val=val)
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(_write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 1
+    assert f"{val_src}: line 2 needs 71 tokens" in capsys.readouterr().err
+    assert not (out / "latest.ckpt").exists()
+
+
 # ---------------------------------------------------------------------------
 # translate
 # ---------------------------------------------------------------------------
@@ -394,6 +447,16 @@ def test_analyze_line_count_mismatch_fails(tmp_path, capsys):
                  "--out", str(tmp_path / "o.csv")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_analyze_overlong_line_names_file_and_line(tmp_path, capsys):
+    ckpt, _, config, _ = _tiny_checkpoint(tmp_path)
+    src, ref = _overlong_files(tmp_path, "test", 6, "src", config.max_len)
+    code = main(["analyze", "--ckpt-a", str(ckpt), "--ckpt-b", str(ckpt),
+                 "--src", str(src), "--ref", str(ref), "--grid", "8", "--k", "2",
+                 "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    assert f"{src}: line 6 needs {config.max_len + 1} tokens" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

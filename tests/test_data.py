@@ -49,7 +49,7 @@ def test_build_vocab_ids_lexicographic():
 
 def test_encode_empty_string_wraps():
     vocab = build_vocab([ParallelCorpus(pairs=[("a", "a")], language="x")], 1)
-    assert encode("", vocab, add_bos_eos=True) == [BOS_ID, EOS_ID]
+    assert encode_pair("", "", vocab) == ([EOS_ID], [BOS_ID], [EOS_ID])
 
 
 def test_encode_unknown_char():

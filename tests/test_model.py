@@ -11,7 +11,7 @@ from charnmt.model import (ModelConfig, build_params, conv_sub_block,
                            extract_cross_attention, model_forward,
                            multi_head_attention, param_shapes,
                            scaled_dot_attention, sinusoidal_positions)
-from charnmt.tensor import ParameterSet, ShapeError, Tensor, grad_check, tmean
+from charnmt.tensor import ParameterSet, ShapeError, Tensor, grad_check, tsum
 from oracles import (closed_form_param_count, positions_closed_form,
                      stable_softmax, straight_line_decoder,
                      straight_line_encoder)
@@ -50,6 +50,9 @@ def test_config_validation():
         ModelConfig(vocab_size=10, dropout=1.0)
     with pytest.raises(ValueError):
         ModelConfig(vocab_size=10, encoder_kind="recurrent")
+    with pytest.raises(ValueError) as err:
+        ModelConfig(vocab_size=10, d_model=8, n_heads=2, encoder_kind="conv", conv_windows=())
+    assert "conv_windows" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +214,9 @@ def test_conv_block_matches_straight_line_oracle():
 def test_conv_block_gradients():
     params = _conv_params(4, (3, 5), 35)
     m = Tensor(rand_rng(36).normal(size=(1, 4, 4)), requires_grad=False)
-    report = grad_check(lambda p: tmean(conv_sub_block(m, p, "conv", (3, 5)) *
-                                        conv_sub_block(m, p, "conv", (3, 5))), params, tol=1e-4)
+    report = grad_check(lambda p: tsum(conv_sub_block(m, p, "conv", (3, 5)) *
+                                       conv_sub_block(m, p, "conv", (3, 5))) * (1.0 / m.size),
+                        params, tol=1e-4)
     assert report.passed, report.per_param
 
 
@@ -372,7 +376,7 @@ def test_end_to_end_gradients(tiny_setup):
 
     def f(p):
         logits, _ = model_forward(batch, p, config)
-        return tmean(logits * logits)
+        return tsum(logits * logits) * (1.0 / logits.size)
 
     report = grad_check(f, params, tol=1e-4, sample=2)
     assert report.passed, report.max_rel_error

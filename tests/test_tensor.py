@@ -9,7 +9,7 @@ from charnmt.tensor import (MaskError, NonFiniteError, ParameterSet, ShapeError,
                             Tensor, add, concat, conv1d_same, dropout, embedding,
                             grad_check, init_param, layer_norm, log_softmax_lastdim,
                             matmul, mul, neg, no_grad, relu, reshape, seed_for_name,
-                            softmax_lastdim, sub, tmean, transpose, tsum)
+                            softmax_lastdim, transpose, tsum)
 from oracles import brute_conv1d, naive_matmul, stable_softmax
 
 from conftest import rand_rng
@@ -282,7 +282,6 @@ def test_non_finite_result_is_an_error():
 def _op_cases():
     return [
         ("add", lambda p: tsum(add(p["x"], p["y"])), {"x": (3, 4), "y": (3, 4)}),
-        ("sub", lambda p: tsum(sub(p["x"], p["y"])), {"x": (3, 4), "y": (3, 4)}),
         ("mul", lambda p: tsum(mul(p["x"], p["y"])), {"x": (3, 4), "y": (3, 4)}),
         ("neg", lambda p: tsum(neg(p["x"])), {"x": (4,)}),
         ("relu", lambda p: tsum(relu(p["x"])), {"x": (3, 4)}),
@@ -300,7 +299,7 @@ def _op_cases():
         ("concat", lambda p: tsum(mul(concat([p["x"], p["y"]], axis=-1),
                                       concat([p["y"], p["x"]], axis=-1))),
          {"x": (2, 3), "y": (2, 3)}),
-        ("mean", lambda p: tmean(mul(p["x"], p["x"])), {"x": (3, 4)}),
+        ("mean", lambda p: tsum(mul(p["x"], p["x"])) * (1.0 / p["x"].size), {"x": (3, 4)}),
         ("broadcast_add", lambda p: tsum(mul(add(p["x"], p["b"]), p["x"])),
          {"x": (3, 4), "b": (4,)}),
     ]

@@ -1,6 +1,7 @@
 """Loss, optimizer, schedule, the train loop, and checkpointing."""
 
 import io
+import json
 import struct
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from charnmt.data import ParallelCorpus, batch_from_rows, build_vocab, encode_pair
 from charnmt.model import ModelConfig, build_params, model_forward
 from charnmt.tensor import MaskError, NonFiniteError, ParameterSet, Tensor, mul, tsum
+import charnmt.training
 from charnmt.training import (AdamState, TrainConfig, TrainLog, adam_step,
                               checkpoint_load, checkpoint_save, clip_grad_norm,
                               evaluate, lr_at_step, masked_cross_entropy, train)
@@ -258,14 +260,14 @@ def test_train_log_csv_layout(tmp_path):
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def _ckpt_fixture(tmp_path, dtype="float64"):
+def _ckpt_fixture(tmp_path):
     corpus, vocab, config = _micro_task()
     params = build_params(config, seed=2)
     adam = AdamState.for_params(params)
     adam.t = 17
     adam.m["out.bias"][:] = 0.25
     path = tmp_path / "model.ckpt"
-    checkpoint_save(params, config, vocab, adam, path, step=17, epoch=3, dtype=dtype)
+    checkpoint_save(params, config, vocab, adam, path, step=17, epoch=3)
     return params, config, vocab, adam, path
 
 
@@ -290,11 +292,57 @@ def test_checkpoint_round_trip_forward_equivalence(tmp_path):
     assert np.array_equal(a.data, b.data)
 
 
-def test_checkpoint_float32_storage_is_close(tmp_path):
-    params, config, vocab, _, path = _ckpt_fixture(tmp_path, dtype="float32")
+def test_checkpoint_rejects_non_float64_record(tmp_path):
+    *_, path = _ckpt_fixture(tmp_path)
+    raw = bytearray(path.read_bytes())
+    (header_len,) = struct.unpack("<I", raw[5:9])
+    (name_len,) = struct.unpack("<H", raw[13 + header_len:15 + header_len])
+    raw[15 + header_len + name_len] = 1  # the first record's dtype tag
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError) as err:
+        checkpoint_load(path)
+    assert "unknown dtype tag 1" in str(err.value)
+
+
+def test_checkpoint_loads_header_with_old_optimizer_keys(tmp_path):
+    """Headers once also stored the record dtype and the constant Adam
+    hyperparameters; such files still load to the same optimizer state."""
+    params, _, _, adam, path = _ckpt_fixture(tmp_path)
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<I", raw[5:9])
+    header = json.loads(raw[9:9 + header_len])
+    header["dtype"] = "float64"
+    header["adam"].update(beta1=0.9, beta2=0.98, eps=1e-9, scale=1.0)
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:5] + struct.pack("<I", len(new)) + new + raw[9 + header_len:])
     bundle = checkpoint_load(path)
+    assert bundle.adam.t == adam.t
+    for name in params.names():
+        assert np.array_equal(bundle.adam.m[name], adam.m[name])
+        assert np.array_equal(bundle.adam.v[name], adam.v[name])
+
+
+def test_checkpoint_save_failure_keeps_old_file(tmp_path, monkeypatch):
+    params, config, vocab, adam, path = _ckpt_fixture(tmp_path)
+    written = []
+
+    def failing_write(f, name, *rest):
+        if len(written) == 3:
+            raise OSError("disk full")
+        written.append(name)
+        _write_record(f, name, *rest)
+
+    monkeypatch.setattr(charnmt.training, "_write_record", failing_write)
+    changed = params.copy()
+    for _, t in changed.items():
+        t.data += 1.0
+    with pytest.raises(OSError):
+        checkpoint_save(changed, config, vocab, adam, path, step=18, epoch=4)
+    assert written and sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+    bundle = checkpoint_load(path)
+    assert bundle.step == 17
     for name, t in params.items():
-        assert np.allclose(bundle.params[name].data, t.data, atol=1e-6)
+        assert np.array_equal(bundle.params[name].data, t.data)
 
 
 def test_checkpoint_rejects_tampered_magic(tmp_path):
@@ -327,7 +375,7 @@ def _rewrite_records(path, change):
     out.write(raw[:9 + header_len])
     out.write(struct.pack("<I", len(records)))
     for name, arr in records:
-        _write_record(out, name, arr, "float64")
+        _write_record(out, name, arr)
     path.write_bytes(out.getvalue())
 
 
