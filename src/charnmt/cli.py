@@ -130,6 +130,11 @@ def cmd_train(args) -> None:
     (out / "resolved_config.json").write_text(
         json.dumps(cfg, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     data = cfg["data"]
+    val_names = [e.get("lang") or f"val{i}" for i, e in enumerate(data["val"])]
+    for i, name in enumerate(val_names):
+        if val_names.index(name) != i:
+            raise ValueError(f"data.val[{val_names.index(name)}] and data.val[{i}] "
+                             f"both name the validation set '{name}'")
     table = _load_table(data["translit"])
     corpora = [_load_entry(e, table) for e in data["corpora"]]
     if not corpora:
@@ -146,8 +151,7 @@ def cmd_train(args) -> None:
                     f"min(max_len, max_tokens) = {limit}")
     mixed = mix_corpora(corpora, train_cfg.seed)
     params = build_params(model_cfg, train_cfg.seed)
-    val_sets = {e.get("lang") or f"val{i}": corpus
-                for i, (e, corpus) in enumerate(zip(data["val"], vals))}
+    val_sets = dict(zip(val_names, vals))
     log = train(params, model_cfg, train_cfg, mixed, vocab,
                 val_sets=val_sets or None, out_dir=out)
     log.write_csv(out / "train_log.csv")

@@ -48,11 +48,6 @@ class Vocabulary:
     def id_for(self, char: str) -> int:
         return self._char_to_id.get(char, UNK_ID)
 
-    def char_for(self, idx: int) -> str:
-        if not N_RESERVED <= idx < self.size:
-            raise ValueError(f"id {idx} is reserved or out of range")
-        return self.chars[idx - N_RESERVED]
-
     def save(self, path) -> None:
         """One character per line; line i (0-based) holds the char with id i+4."""
         Path(path).write_text("\n".join(self.chars) + ("\n" if self.chars else ""),

@@ -159,10 +159,8 @@ def build_params(config: ModelConfig, seed: int) -> ParameterSet:
     between the standard and conv encoder kinds are identical for the
     same root seed.
     """
-    params = ParameterSet()
-    for name, shape in param_shapes(config).items():
-        params.add(name, init_param(shape, _init_scheme(name), seed_for_name(seed, name)))
-    return params
+    return ParameterSet({name: init_param(shape, _init_scheme(name), seed_for_name(seed, name))
+                         for name, shape in param_shapes(config).items()})
 
 
 # ---------------------------------------------------------------------------

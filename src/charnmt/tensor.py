@@ -4,8 +4,8 @@ Implements exactly the operations the encoder/decoder models need:
 broadcasting elementwise arithmetic, (batched) matmul, masked softmax and
 log-softmax over the last axis, layer normalization, same-padded 1D
 convolution, embedding lookup, dropout, shape ops, and reductions.
-Gradients accumulate with ``+=``; call ``zero_grad`` between optimizer
-steps. Every op checks its output for NaN/Inf and raises instead of
+Gradients accumulate with ``+=``; call ``ParameterSet.zero_grad`` between
+optimizer steps. Every op checks its output for NaN/Inf and raises instead of
 propagating silently.
 """
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -34,19 +35,18 @@ class NonFiniteError(FloatingPointError):
     """An op produced NaN or Inf."""
 
 
-_grad_enabled = True
+_grad_enabled = ContextVar("grad_enabled", default=True)
 
 
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the block (forward values unchanged)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable tape recording in this thread inside the block (forward
+    values unchanged)."""
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 def _check_finite(op: str, arr: np.ndarray) -> None:
@@ -79,13 +79,19 @@ class Tensor:
     it) must stay confined to one thread.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "node")
+    __slots__ = ("data", "_grad", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
+        self._grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.node: TapeNode | None = None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """Read-only, so a parameter's gradient stays a view into the buffer
+        of its ParameterSet; ``backward`` accumulates into it in place."""
+        return self._grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -102,9 +108,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -119,7 +122,7 @@ class Tensor:
         """Populate ``grad`` on every requires_grad tensor reachable from here.
 
         Only valid on scalar (single-element) tensors. Gradients accumulate
-        across calls until ``zero_grad``.
+        across calls until ``ParameterSet.zero_grad``.
         """
         if self.size != 1:
             raise ShapeError(f"backward on non-scalar tensor of shape {self.shape}")
@@ -137,20 +140,19 @@ class Tensor:
             stack.append((t, True))
             for parent in t.node.inputs:
                 stack.append((parent, False))
-        if self.grad is None:
-            self.grad = np.ones_like(self.data)
-        else:
-            self.grad = self.grad + np.ones_like(self.data)
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        self._grad += 1.0
         for t in reversed(topo):
             node = t.node
             assert node is not None
-            grads = node.backward(t.grad)
+            grads = node.backward(t._grad)
             for parent, g in zip(node.inputs, grads):
                 if g is None or not parent.requires_grad:
                     continue
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += g
+                if parent._grad is None:
+                    parent._grad = np.zeros_like(parent.data)
+                parent._grad += g
 
 
 def _as_tensor(x) -> Tensor:
@@ -161,7 +163,7 @@ def _make(op: str, out: np.ndarray, inputs: tuple[Tensor, ...],
           backward: Callable[[np.ndarray], tuple]) -> Tensor:
     _check_finite(op, out)
     result = Tensor(out)
-    if _grad_enabled and any(t.requires_grad for t in inputs):
+    if _grad_enabled.get() and any(t.requires_grad for t in inputs):
         result.requires_grad = True
         result.node = TapeNode(op, inputs, backward)
     return result
@@ -470,56 +472,51 @@ def seed_for_name(root_seed: int, name: str) -> int:
 
 
 class ParameterSet:
-    """Named, ordered collection of trainable tensors.
+    """Named trainable tensors in one flat arena: the contiguous float64
+    buffers ``data`` and ``grad`` hold every value and gradient in
+    sorted-name order, and each parameter's ``data`` and ``grad`` are views
+    into them. Iteration is in sorted-name order, for reproducibility."""
 
-    Names are unique; iteration is always in sorted-name order so that
-    optimization and checkpointing are reproducible.
-    """
+    def __init__(self, tensors: dict[str, Tensor]):
+        self._shapes = {name: tensors[name].shape for name in sorted(tensors)}
+        self.data = np.concatenate([tensors[name].data.reshape(-1) for name in self._shapes])
+        self.grad = np.zeros_like(self.data)
+        self._params = {name: Tensor(data, requires_grad=True)
+                        for name, data in self.views(self.data).items()}
+        for t, grad in zip(self._params.values(), self.views(self.grad).values()):
+            t._grad = grad
 
-    def __init__(self, tensors: dict[str, Tensor] | None = None):
-        self._tensors: dict[str, Tensor] = {}
-        if tensors:
-            for name, t in tensors.items():
-                self.add(name, t)
-
-    def add(self, name: str, tensor: Tensor) -> None:
-        if name in self._tensors:
-            raise ValueError(f"duplicate parameter name '{name}'")
-        self._tensors[name] = tensor
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._tensors[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
-    def __len__(self) -> int:
-        return len(self._tensors)
-
-    def names(self) -> list[str]:
-        return sorted(self._tensors)
-
-    def items(self) -> Iterator[tuple[str, Tensor]]:
-        for name in self.names():
-            yield name, self._tensors[name]
-
-    def zero_grad(self) -> None:
-        for _, t in self.items():
-            t.zero_grad()
-
-    def copy(self) -> "ParameterSet":
-        out = ParameterSet()
-        for name, t in self.items():
-            clone = Tensor(t.data.copy(), requires_grad=t.requires_grad)
-            out.add(name, clone)
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-name views, in sorted-name order, of a flat array laid out like ``data``."""
+        if flat.shape != self.data.shape:
+            raise ShapeError(f"flat array of shape {flat.shape}, arena is {self.data.shape}")
+        out, start = {}, 0
+        for name, shape in self._shapes.items():
+            stop = start + math.prod(shape)
+            out[name] = flat[start:stop].reshape(shape)
+            start = stop
         return out
 
+    def __getitem__(self, name: str) -> Tensor:
+        return self._params[name]
+
+    def names(self) -> list[str]:
+        return list(self._params)
+
+    def items(self) -> Iterator[tuple[str, Tensor]]:
+        return iter(self._params.items())
+
+    def zero_grad(self) -> None:
+        self.grad.fill(0.0)
+
+    def copy(self) -> "ParameterSet":
+        return ParameterSet(self._params)
+
     def load_data(self, other: "ParameterSet") -> None:
-        """Copy parameter values from ``other`` in place (names must match)."""
-        if self.names() != other.names():
-            raise ValueError("parameter sets have different names")
-        for name, t in self.items():
-            np.copyto(t.data, other[name].data)
+        """Copy parameter values from ``other`` in place (names and shapes must match)."""
+        if self._shapes != other._shapes:
+            raise ValueError("parameter sets have different names or shapes")
+        np.copyto(self.data, other.data)
 
 
 # ---------------------------------------------------------------------------
@@ -555,10 +552,8 @@ def grad_check(f: Callable[[ParameterSet], Tensor], params: ParameterSet,
     if f(params).item() != base:
         raise ValueError("f is not deterministic: two forward passes disagree")
     params.zero_grad()
-    loss = f(params)
-    loss.backward()
-    analytic = {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-                for name, t in params.items()}
+    f(params).backward()
+    analytic = params.views(params.grad.copy())
     rng = np.random.Generator(np.random.PCG64(seed))
     report: dict[str, float] = {}
     with no_grad():

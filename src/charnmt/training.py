@@ -69,41 +69,49 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-9  # the Transformer's Adam
 
 @dataclass
 class AdamState:
-    """First/second moment estimates per parameter plus the step counter."""
+    """First and second moment estimates, flat in the layout of the
+    parameter arena (``ParameterSet.data``), plus the step counter."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def for_params(cls, params: ParameterSet) -> "AdamState":
-        return cls(m={n: np.zeros_like(p.data) for n, p in params.items()},
-                   v={n: np.zeros_like(p.data) for n, p in params.items()})
+        return cls(m=np.zeros_like(params.data), v=np.zeros_like(params.data))
 
 
 def adam_step(params: ParameterSet, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update from the gradients stored on params.
+    """One bias-corrected Adam update of the whole parameter buffer from the
+    gradient buffer, in place.
 
-    A non-finite gradient aborts before any parameter or moment is touched.
+    A non-finite gradient aborts, naming the first parameter that holds
+    one, before any parameter or moment is touched.
     """
     if lr <= 0.0:
         raise ValueError("lr must be positive")
-    grads = {}
-    for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.isfinite(g).all():
-            raise NonFiniteError(f"non-finite gradient for '{name}'")
-        grads[name] = g
+    g = params.grad
+    if not np.isfinite(g).all():
+        name = next(n for n, view in params.views(g).items() if not np.isfinite(view).all())
+        raise NonFiniteError(f"non-finite gradient for '{name}'")
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
-    for name, p in params.items():
-        g = grads[name]
-        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = state.m[name] / c1
-        v_hat = state.v[name] / c2
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    # in place, rounding as data -= lr * (m/c1) / (sqrt(v/c2) + eps) would
+    tmp = g * (1.0 - ADAM_BETA1)
+    state.m *= ADAM_BETA1
+    state.m += tmp
+    np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+    tmp *= g
+    state.v *= ADAM_BETA2
+    state.v += tmp
+    np.divide(state.v, c2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    step = state.m / c1
+    step *= lr
+    step /= tmp
+    params.data -= step
 
 
 def lr_at_step(step: int, d_model: int, warmup: int = 400) -> float:
@@ -115,18 +123,16 @@ def lr_at_step(step: int, d_model: int, warmup: int = 400) -> float:
 
 
 def clip_grad_norm(params: ParameterSet, max_norm: float = 1.0) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm.
+    """Scale the gradient buffer so its global L2 norm is at most max_norm.
     Returns the pre-clip norm."""
+    # per-parameter sums added in name order: one sum over the whole buffer
+    # rounds differently and would move every training trajectory
     total = 0.0
-    for _, p in params.items():
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+    for g in params.views(params.grad).values():
+        total += float((g * g).sum())
     norm = total ** 0.5
     if np.isfinite(norm) and norm > max_norm:
-        factor = max_norm / norm
-        for _, p in params.items():
-            if p.grad is not None:
-                p.grad *= factor
+        params.grad *= max_norm / norm
     return norm
 
 
@@ -359,8 +365,8 @@ def checkpoint_save(params: ParameterSet, config: ModelConfig, vocab: Vocabulary
     }
     records: list[tuple[str, np.ndarray]] = [(f"param/{n}", p.data) for n, p in params.items()]
     if adam is not None:
-        records += [(f"adam.m/{n}", adam.m[n]) for n in params.names()]
-        records += [(f"adam.v/{n}", adam.v[n]) for n in params.names()]
+        records += [(f"adam.m/{n}", m) for n, m in params.views(adam.m).items()]
+        records += [(f"adam.v/{n}", v) for n, v in params.views(adam.v).items()]
     records.sort(key=lambda r: r[0])
     raw_header = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
     path = Path(path)
@@ -410,13 +416,11 @@ def checkpoint_load(path) -> CheckpointBundle:
                              f"model wants {expected[name]}")
         return arr
 
-    params = ParameterSet()
-    for name in expected:
-        params.add(name, Tensor(record("param", name), requires_grad=True))
+    params = ParameterSet({name: Tensor(record("param", name)) for name in expected})
     adam = None
     if header["adam"] is not None:
-        adam = AdamState(m={n: record("adam.m", n) for n in expected},
-                         v={n: record("adam.v", n) for n in expected},
-                         t=header["adam"]["t"])
+        m, v = (np.concatenate([record(kind, n).reshape(-1) for n in params.names()])
+                for kind in ("adam.m", "adam.v"))
+        adam = AdamState(m=m, v=v, t=header["adam"]["t"])
     return CheckpointBundle(params=params, config=config, vocab=vocab, adam=adam,
                             step=header["step"], epoch=header["epoch"])

@@ -180,6 +180,32 @@ def brute_cross_entropy(logits: np.ndarray, tgt: np.ndarray, mask: np.ndarray,
     return total / count
 
 
+def adam_and_clip(weights: dict, m: dict, v: dict, t: int, grads: dict, lr: float,
+                  max_norm: float):
+    """One gradient clip and one Adam step (beta1 0.9, beta2 0.98, eps 1e-9)
+    over per-name arrays, parameter by parameter in sorted-name order.
+    Returns new (weights, m, v, t, pre-clip norm); the inputs are unchanged."""
+    total = 0.0
+    for name in sorted(grads):
+        total += float((grads[name] * grads[name]).sum())
+    norm = total ** 0.5
+    if np.isfinite(norm) and norm > max_norm:
+        factor = max_norm / norm
+        grads = {name: g * factor for name, g in grads.items()}
+    t += 1
+    c1 = 1.0 - 0.9 ** t
+    c2 = 1.0 - 0.98 ** t
+    new_w, new_m, new_v = {}, {}, {}
+    for name in sorted(weights):
+        g = grads[name]
+        new_m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+        new_v[name] = 0.98 * v[name] + (1.0 - 0.98) * g * g
+        m_hat = new_m[name] / c1
+        v_hat = new_v[name] / c2
+        new_w[name] = weights[name] - lr * m_hat / (np.sqrt(v_hat) + 1e-9)
+    return new_w, new_m, new_v, t, norm
+
+
 # ---------------------------------------------------------------------------
 # decoding
 # ---------------------------------------------------------------------------

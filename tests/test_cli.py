@@ -215,6 +215,22 @@ def test_train_non_object_val_entry_fails(corpus_files, tmp_path, capsys):
     assert err.startswith("error:") and "data.val[0]" in err
 
 
+@pytest.mark.parametrize("langs", [("toy", "toy"), ("val1", None)])
+def test_train_duplicate_val_names_fail_before_training(corpus_files, tmp_path, capsys, langs):
+    src, tgt = corpus_files
+    val = [{"src": str(src), "tgt": str(tgt)} for _ in langs]
+    for entry, lang in zip(val, langs):
+        if lang is not None:
+            entry["lang"] = lang
+    cfg = _tiny_config(src, tgt, epochs=1, val=val)
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(_write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "data.val[0] and data.val[1]" in err and f"'{langs[0]}'" in err
+    assert not (out / "latest.ckpt").exists()
+
+
 def _overlong_files(tmp_path, stem, lineno, side, length):
     """Copies of the toy corpus whose ``side`` ("src" or "tgt") holds a run
     of ``length`` characters on 1-based line ``lineno``."""

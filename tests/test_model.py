@@ -123,11 +123,11 @@ def test_attention_rejects_depth_mismatch():
 
 def _mha_params(d, seed):
     rng = rand_rng(seed)
-    params = ParameterSet()
+    tensors = {}
     for proj in ("q_proj", "k_proj", "v_proj", "out_proj"):
-        params.add(f"attn.{proj}.weight", Tensor(rng.normal(size=(d, d)), requires_grad=True))
-        params.add(f"attn.{proj}.bias", Tensor(rng.normal(size=(d,)), requires_grad=True))
-    return params
+        tensors[f"attn.{proj}.weight"] = Tensor(rng.normal(size=(d, d)), requires_grad=True)
+        tensors[f"attn.{proj}.bias"] = Tensor(rng.normal(size=(d,)), requires_grad=True)
+    return ParameterSet(tensors)
 
 
 def test_multi_head_single_head_composes_projections():
@@ -172,19 +172,19 @@ def test_multi_head_zero_output_projection():
 
 def _conv_params(d, windows, seed, zero=False):
     rng = rand_rng(seed)
-    params = ParameterSet()
+    tensors = {}
     for w in windows:
         shape = (w, d, d)
         data = np.zeros(shape) if zero else rng.normal(size=shape) * 0.3
-        params.add(f"conv.w{w}.weight", Tensor(data, requires_grad=True))
-        params.add(f"conv.w{w}.bias", Tensor(np.zeros(d) if zero else rng.normal(size=d),
-                                             requires_grad=True))
+        tensors[f"conv.w{w}.weight"] = Tensor(data, requires_grad=True)
+        tensors[f"conv.w{w}.bias"] = Tensor(np.zeros(d) if zero else rng.normal(size=d),
+                                            requires_grad=True)
     fuse_shape = (3, len(windows) * d, d)
     fuse = np.zeros(fuse_shape) if zero else rng.normal(size=fuse_shape) * 0.3
-    params.add("conv.fuse.weight", Tensor(fuse, requires_grad=True))
-    params.add("conv.fuse.bias", Tensor(np.zeros(d) if zero else rng.normal(size=d),
-                                        requires_grad=True))
-    return params
+    tensors["conv.fuse.weight"] = Tensor(fuse, requires_grad=True)
+    tensors["conv.fuse.bias"] = Tensor(np.zeros(d) if zero else rng.normal(size=d),
+                                       requires_grad=True)
+    return ParameterSet(tensors)
 
 
 def test_conv_block_zero_weights_is_identity():

@@ -1,10 +1,12 @@
 """Tensor library: op semantics, shape checks, and gradient correctness."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from charnmt.model import ModelConfig, build_params
 from charnmt.tensor import (MaskError, NonFiniteError, ParameterSet, ShapeError,
                             Tensor, add, concat, conv1d_same, dropout, embedding,
                             grad_check, init_param, layer_norm, log_softmax_lastdim,
@@ -268,6 +270,30 @@ def test_no_grad_suppresses_tape():
     assert y.node is None
 
 
+def test_no_grad_is_per_thread():
+    """A thread inside no_grad leaves another thread's tape recording."""
+    inside, release, untaped = threading.Event(), threading.Event(), []
+
+    def hold():
+        with no_grad():
+            untaped.append(mul(Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(2))))
+            inside.set()
+            release.wait(timeout=30)
+
+    worker = threading.Thread(target=hold)
+    worker.start()
+    try:
+        assert inside.wait(timeout=30)
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        tsum(mul(x, x)).backward()
+        assert np.array_equal(x.grad, [2.0, -4.0])
+    finally:
+        release.set()
+        worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert untaped[0].node is None
+
+
 def test_non_finite_result_is_an_error():
     big = Tensor(np.array([1e308]))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as err:
@@ -399,3 +425,66 @@ def test_parameter_set_sorted_iteration_and_copy():
     params["a"].data += 5.0
     params.load_data(snap)
     assert np.array_equal(params["a"].data, np.zeros(3))
+
+
+def _small_conv_params():
+    config = ModelConfig(vocab_size=12, d_model=8, n_layers=1, n_heads=2, max_len=16,
+                         encoder_kind="conv", dropout=0.0)
+    return build_params(config, seed=3)
+
+
+@pytest.mark.invariant
+def test_parameter_views_sit_at_sorted_offsets():
+    params = _small_conv_params()
+    assert params.names() == sorted(params.names())
+    base = params.data.ctypes.data, params.grad.ctypes.data
+    offset = 0
+    for name, t in params.items():
+        assert t.data.ctypes.data == base[0] + 8 * offset, name
+        assert t.grad.ctypes.data == base[1] + 8 * offset, name
+        assert np.shares_memory(t.data, params.data) and np.shares_memory(t.grad, params.grad)
+        assert np.array_equal(t.data.reshape(-1), params.data[offset:offset + t.size])
+        offset += t.size
+    assert offset == params.data.size == params.grad.size
+    params.grad[:] = np.arange(params.grad.size)
+    views = params.views(params.grad)
+    for name, t in params.items():
+        assert np.array_equal(t.grad, views[name])
+    params.zero_grad()
+    assert not any(t.grad.any() for _, t in params.items())
+
+
+@pytest.mark.invariant
+def test_parameter_copy_shares_no_memory():
+    params = _small_conv_params()
+    snap = params.copy()
+    for buf in (params.data, params.grad):
+        assert not np.shares_memory(buf, snap.data) and not np.shares_memory(buf, snap.grad)
+    before = snap.data.copy()
+    params.data += 1.0
+    params.grad += 1.0
+    assert np.array_equal(snap.data, before) and not snap.grad.any()
+    params.load_data(snap)
+    assert np.array_equal(params.data, before)
+    assert not np.shares_memory(params.data, snap.data)
+
+
+@pytest.mark.invariant
+def test_parameter_grad_cannot_be_rebound():
+    params = _small_conv_params()
+    name = params.names()[0]
+    view = params[name].grad
+    with pytest.raises(AttributeError):
+        params[name].grad = np.ones(view.shape)
+    assert params[name].grad is view and not params.grad.any()
+    tsum(mul(params[name], params[name])).backward()
+    assert np.array_equal(params.views(params.grad)[name], 2.0 * params[name].data)
+
+
+def test_parameter_views_reject_other_layouts():
+    params = _small_conv_params()
+    with pytest.raises(ShapeError):
+        params.views(np.zeros(params.data.size + 1))
+    other = ParameterSet({"a": Tensor(np.zeros(3), requires_grad=True)})
+    with pytest.raises(ValueError):
+        params.load_data(other)
