@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Vocabulary, batch_from_rows, encode_pair
+from .data import Vocabulary, batch_from_rows, encode_pair, write_lines
 from .model import ModelConfig, extract_cross_attention
 from .tensor import ParameterSet
 
@@ -225,7 +225,7 @@ def write_reports_csv(reports: list[CcaReport], path) -> None:
     for r in reports:
         rows.append(f"{r.model_a},{r.model_b},{r.test_lang},{r.n},"
                     f"{r.grid[0]}x{r.grid[1]},{r.k},{r.rho_mean:.6f}")
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_lines(path, rows)
 
 
 def alignment_report(set_a: AlignmentSet, set_b: AlignmentSet,

@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import unicodedata
 from pathlib import Path
 
 from .alignment import alignment_report, collect_alignments, cross_attention_maps, dump_matrix
@@ -24,7 +23,9 @@ from .data import (
     build_vocab,
     load_parallel,
     mix_corpora,
+    read_lines,
     transliterate,
+    write_lines,
 )
 from .decoding import DecodeConfig, beam_decode, greedy_decode_batch
 from .model import ModelConfig, build_params
@@ -82,7 +83,7 @@ def _load_table(path) -> TransliterationTable | None:
 
 
 def _load_entry(entry: dict, table: TransliterationTable | None) -> ParallelCorpus:
-    corpus = load_parallel(entry["src"], entry["tgt"], entry.get("lang", ""))
+    corpus = load_parallel(entry["src"], entry["tgt"])
     if table is not None:
         corpus.pairs = [(transliterate(src, table), tgt) for src, tgt in corpus.pairs]
     return corpus
@@ -98,18 +99,6 @@ def _check_fits(pairs: list[tuple[str, str]], src_path, tgt_path, limit: int,
         if need > limit:
             path = src_path if len(src) >= len(tgt) else tgt_path
             raise ValueError(f"{path}: line {i} needs {need} tokens, over {what}")
-
-
-def _read_input_lines(path) -> list[str]:
-    """Lines of a UTF-8 file, NFC-normalized as training data is."""
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return [unicodedata.normalize("NFC", line) for line in lines]
-
-
-def _write_lines(path, lines: list[str]) -> None:
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
 def cmd_build_vocab(args) -> None:
@@ -163,7 +152,7 @@ def cmd_translate(args) -> None:
     dcfg = DecodeConfig(beam_size=args.beam)
     bundle = checkpoint_load(args.ckpt)
     table = _load_table(args.translit)
-    lines = _read_input_lines(args.infile)
+    lines = read_lines(args.infile)
     if table is not None:
         lines = [transliterate(line, table) for line in lines]
     unknown = sum(1 for line in lines for ch in line
@@ -178,7 +167,7 @@ def cmd_translate(args) -> None:
                 for line in lines]
     else:
         hyps = greedy_decode_batch(bundle.params, bundle.config, lines, bundle.vocab, dcfg)
-    _write_lines(args.out, hyps)
+    write_lines(args.out, hyps)
     if args.dump_attn:
         dump_dir = Path(args.dump_attn)
         dump_dir.mkdir(parents=True, exist_ok=True)
@@ -189,15 +178,15 @@ def cmd_translate(args) -> None:
 
 
 def cmd_score(args) -> None:
-    hyps = _read_input_lines(args.hyp)
-    refs = _read_input_lines(args.ref)
+    hyps = read_lines(args.hyp)
+    refs = read_lines(args.ref)
     score = corpus_bleu(hyps, refs, tokenizer=args.tokenizer, smooth=args.smooth)
     print(f"BLEU {score:.2f}")
 
 
 def cmd_analyze(args) -> None:
-    srcs = _read_input_lines(args.src)
-    refs = _read_input_lines(args.ref)
+    srcs = read_lines(args.src)
+    refs = read_lines(args.ref)
     if len(srcs) != len(refs):
         raise ValueError(f"{len(srcs)} source lines vs {len(refs)} reference lines")
     pairs = list(zip(srcs, refs))

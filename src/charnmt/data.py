@@ -5,7 +5,8 @@ every language in play, reserved ids 0..3 are PAD/BOS/EOS/UNK, and
 non-latin scripts can be folded into the latin range up front with a
 per-character transliteration table. Corpora from several languages are
 mixed into a single training stream with no language identifiers; the mix
-is a plain concatenate-and-shuffle.
+is a plain concatenate-and-shuffle. Every line-oriented text file in the
+package is read by ``read_lines`` and written by ``write_lines``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,34 @@ import numpy as np
 
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 N_RESERVED = 4
+
+
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, NFC-normalized: the one reader of
+    every line-oriented input, so inference sees text as training does.
+
+    A byte-order mark, a CR (named with its 1-based line) and undecodable
+    bytes are errors naming the file. The final newline is dropped.
+    """
+    raw = Path(path).read_bytes()
+    if raw.startswith(b"\xef\xbb\xbf"):
+        raise ValueError(f"{path}: byte-order mark not allowed")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 ({e.reason} at byte {e.start})") from None
+    if "\r" in text:
+        line = text.count("\n", 0, text.index("\r")) + 1
+        raise ValueError(f"{path}: line {line} holds a CR; expected LF line endings")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [unicodedata.normalize("NFC", line) for line in lines]
+
+
+def write_lines(path, lines) -> None:
+    """The one writer of line-oriented text: UTF-8, each line ended by LF."""
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 @dataclass
@@ -50,16 +79,11 @@ class Vocabulary:
 
     def save(self, path) -> None:
         """One character per line; line i (0-based) holds the char with id i+4."""
-        Path(path).write_text("\n".join(self.chars) + ("\n" if self.chars else ""),
-                              encoding="utf-8")
+        write_lines(path, self.chars)
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        text = Path(path).read_text(encoding="utf-8")
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        return cls(chars=tuple(lines))
+        return cls(chars=tuple(read_lines(path)))
 
 
 def build_vocab(corpora: list["ParallelCorpus"], min_count: int = 1) -> Vocabulary:
@@ -125,8 +149,7 @@ class TransliterationTable:
     def from_tsv(cls, path) -> "TransliterationTable":
         """Load "char<TAB>latin" rows; duplicate characters are an error."""
         mapping: dict[str, str] = {}
-        text = Path(path).read_text(encoding="utf-8")
-        for lineno, line in enumerate(text.split("\n"), start=1):
+        for lineno, line in enumerate(read_lines(path), start=1):
             if not line:
                 continue
             parts = line.split("\t")
@@ -156,46 +179,25 @@ def transliterate(s: str, table: TransliterationTable) -> str:
 
 @dataclass
 class ParallelCorpus:
-    """Aligned (source, target) sentence pairs.
-
-    ``language`` is bookkeeping only; it never reaches the model.
-    """
+    """Aligned (source, target) sentence pairs."""
 
     pairs: list[tuple[str, str]]
-    language: str = ""
 
     def __len__(self) -> int:
         return len(self.pairs)
 
 
-def _read_lines(path) -> list[str]:
-    raw = Path(path).read_bytes()
-    if raw.startswith(b"\xef\xbb\xbf"):
-        raise ValueError(f"{path}: byte-order mark not allowed")
-    text = raw.decode("utf-8")
-    if "\r" in text:
-        raise ValueError(f"{path}: expected LF line endings")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    for i, line in enumerate(lines, start=1):
-        if line == "":
-            raise ValueError(f"{path}:{i}: empty line")
-    return [unicodedata.normalize("NFC", line) for line in lines]
-
-
-def load_parallel(src_path, tgt_path, language: str = "") -> ParallelCorpus:
-    """Load two aligned one-sentence-per-line UTF-8 files.
-
-    Lines are NFC-normalized; BOMs, CR line endings, empty lines, and
-    unequal line counts are rejected.
-    """
-    src_lines = _read_lines(src_path)
-    tgt_lines = _read_lines(tgt_path)
+def load_parallel(src_path, tgt_path) -> ParallelCorpus:
+    """Load two aligned one-sentence-per-line files through ``read_lines``;
+    empty lines and unequal line counts are rejected as well."""
+    src_lines, tgt_lines = read_lines(src_path), read_lines(tgt_path)
+    for path, lines in ((src_path, src_lines), (tgt_path, tgt_lines)):
+        if "" in lines:
+            raise ValueError(f"{path}:{lines.index('') + 1}: empty line")
     if len(src_lines) != len(tgt_lines):
         raise ValueError(f"{src_path} has {len(src_lines)} lines but "
                          f"{tgt_path} has {len(tgt_lines)}")
-    return ParallelCorpus(pairs=list(zip(src_lines, tgt_lines)), language=language)
+    return ParallelCorpus(pairs=list(zip(src_lines, tgt_lines)))
 
 
 def mix_corpora(corpora: list[ParallelCorpus], seed: int) -> ParallelCorpus:
@@ -209,8 +211,7 @@ def mix_corpora(corpora: list[ParallelCorpus], seed: int) -> ParallelCorpus:
     pairs = [p for c in corpora for p in c.pairs]
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(len(pairs))
-    language = "+".join(c.language for c in corpora if c.language)
-    return ParallelCorpus(pairs=[pairs[i] for i in order], language=language)
+    return ParallelCorpus(pairs=[pairs[i] for i in order])
 
 
 # ---------------------------------------------------------------------------

@@ -266,21 +266,21 @@ def _ffn(x: Tensor, params: ParameterSet, prefix: str) -> Tensor:
 
 
 def _sublayer(x: Tensor, sub_out: Tensor, params: ParameterSet, norm_prefix: str,
-              p: float, train_mode: bool, rng: np.random.Generator | None) -> Tensor:
+              config: ModelConfig, rng: np.random.Generator | None) -> Tensor:
     """Post-norm residual wrapper: LayerNorm(x + Dropout(sub_out))."""
-    if train_mode and p > 0.0:
-        sub_out = dropout(sub_out, p, rng)
+    if rng is not None:
+        sub_out = dropout(sub_out, config.dropout, rng)
     return layer_norm(x + sub_out, params[f"{norm_prefix}.gain"], params[f"{norm_prefix}.bias"])
 
 
 def _embed(ids: np.ndarray, params: ParameterSet, which: str, config: ModelConfig,
-           train_mode: bool, rng: np.random.Generator | None) -> Tensor:
+           rng: np.random.Generator | None) -> Tensor:
     t = ids.shape[-1]
     if t > config.max_len:
         raise ShapeError(f"sequence length {t} exceeds max_len {config.max_len}")
     x = embedding(params[f"{which}.weight"], ids) * math.sqrt(config.d_model)
     x = x + Tensor(_positions_cached(config.max_len, config.d_model)[:t])
-    if train_mode and config.dropout > 0.0:
+    if rng is not None:
         x = dropout(x, config.dropout, rng)
     return x
 
@@ -290,28 +290,28 @@ def _embed(ids: np.ndarray, params: ParameterSet, which: str, config: ModelConfi
 # ---------------------------------------------------------------------------
 
 def encoder_forward(batch, params: ParameterSet, config: ModelConfig,
-                    train_mode: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+                    rng: np.random.Generator | None = None) -> Tensor:
     """Run the encoder stack over ``batch.src_ids`` -> [B, T_s, d_model].
 
     Conv kind runs the conv sub-block first in every layer, then the
     self-attention and feed-forward sub-layers, each as
     LayerNorm(x + Dropout(sub(x))). Source pad positions are masked out of
-    the attention keys.
+    the attention keys. Dropout runs if and only if ``rng`` is given.
     """
     ids, src_mask = batch.src_ids, batch.src_mask
     if ids.shape[0] == 0 or ids.shape[1] == 0 or not src_mask.any(axis=1).all():
         raise ShapeError("encoder requires a non-empty source in every row")
     if int(ids.max()) >= config.vocab_size:
         raise ShapeError("source id out of vocabulary range")
-    x = _embed(ids, params, "src_embed", config, train_mode, rng)
+    x = _embed(ids, params, "src_embed", config, rng)
     key_mask = src_mask[:, None, None, :]  # [B,1,1,T_s]
     for i in range(config.n_layers):
         if config.encoder_kind == "conv":
             x = conv_sub_block(x, params, f"enc.{i}.conv", config.conv_windows, src_mask)
         a, _ = multi_head_attention(x, x, params, f"enc.{i}.attn", config.n_heads, key_mask)
-        x = _sublayer(x, a, params, f"enc.{i}.attn_norm", config.dropout, train_mode, rng)
+        x = _sublayer(x, a, params, f"enc.{i}.attn_norm", config, rng)
         f = _ffn(x, params, f"enc.{i}.ff")
-        x = _sublayer(x, f, params, f"enc.{i}.ff_norm", config.dropout, train_mode, rng)
+        x = _sublayer(x, f, params, f"enc.{i}.ff_norm", config, rng)
     return x
 
 
@@ -320,8 +320,7 @@ def _causal_mask(t: int) -> np.ndarray:
 
 
 def decoder_forward(batch, enc_out: Tensor, params: ParameterSet, config: ModelConfig,
-                    train_mode: bool = False, rng: np.random.Generator | None = None
-                    ) -> tuple[Tensor, list[Tensor]]:
+                    rng: np.random.Generator | None = None) -> tuple[Tensor, list[Tensor]]:
     """Run the decoder over ``batch.tgt_in_ids`` against encoder output.
 
     Decoder self-attention is causally masked (position t sees only <= t)
@@ -333,30 +332,29 @@ def decoder_forward(batch, enc_out: Tensor, params: ParameterSet, config: ModelC
     if int(ids.max()) >= config.vocab_size:
         raise ShapeError("target id out of vocabulary range")
     t = ids.shape[1]
-    x = _embed(ids, params, "tgt_embed", config, train_mode, rng)
+    x = _embed(ids, params, "tgt_embed", config, rng)
     self_mask = _causal_mask(t)[None, None, :, :] & batch.tgt_mask[:, None, None, :]
     cross_mask = batch.src_mask[:, None, None, :]
     cross_maps: list[Tensor] = []
     for i in range(config.n_layers):
         a, _ = multi_head_attention(x, x, params, f"dec.{i}.self_attn", config.n_heads, self_mask)
-        x = _sublayer(x, a, params, f"dec.{i}.self_norm", config.dropout, train_mode, rng)
+        x = _sublayer(x, a, params, f"dec.{i}.self_norm", config, rng)
         c, attn = multi_head_attention(x, enc_out, params, f"dec.{i}.cross_attn",
                                        config.n_heads, cross_mask)
         cross_maps.append(attn)
-        x = _sublayer(x, c, params, f"dec.{i}.cross_norm", config.dropout, train_mode, rng)
+        x = _sublayer(x, c, params, f"dec.{i}.cross_norm", config, rng)
         f = _ffn(x, params, f"dec.{i}.ff")
-        x = _sublayer(x, f, params, f"dec.{i}.ff_norm", config.dropout, train_mode, rng)
+        x = _sublayer(x, f, params, f"dec.{i}.ff_norm", config, rng)
     logits = _linear(x, params, "out")
     return logits, cross_maps
 
 
 def model_forward(batch, params: ParameterSet, config: ModelConfig,
-                  train_mode: bool = False, rng: np.random.Generator | None = None
-                  ) -> tuple[Tensor, list[Tensor]]:
+                  rng: np.random.Generator | None = None) -> tuple[Tensor, list[Tensor]]:
     """Teacher-forced forward pass: encoder, then decoder on the BOS-shifted
     target. Returns decoder logits and per-layer cross-attention."""
-    enc_out = encoder_forward(batch, params, config, train_mode, rng)
-    return decoder_forward(batch, enc_out, params, config, train_mode, rng)
+    enc_out = encoder_forward(batch, params, config, rng)
+    return decoder_forward(batch, enc_out, params, config, rng)
 
 
 def extract_cross_attention(batch, params: ParameterSet, config: ModelConfig

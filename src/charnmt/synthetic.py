@@ -35,7 +35,7 @@ def copy_corpus(n_pairs: int, seed: int, alphabet: str = TARGET_ALPHABET,
                 min_len: int = 5, max_len: int = 20) -> ParallelCorpus:
     """Pairs whose target equals the source."""
     strings = random_strings(n_pairs, seed, alphabet, min_len, max_len)
-    return ParallelCorpus(pairs=[(s, s) for s in strings], language="copy")
+    return ParallelCorpus(pairs=[(s, s) for s in strings])
 
 
 def cipher_corpus(n_pairs: int, seed: int, cipher_name: str,
@@ -46,5 +46,4 @@ def cipher_corpus(n_pairs: int, seed: int, cipher_name: str,
         raise ValueError(f"cipher_name must be one of {sorted(CIPHERS)}")
     table = str.maketrans(CIPHERS[cipher_name])
     targets = random_strings(n_pairs, seed, TARGET_ALPHABET, min_len, max_len)
-    return ParallelCorpus(pairs=[(t.translate(table), t) for t in targets],
-                          language=cipher_name)
+    return ParallelCorpus(pairs=[(t.translate(table), t) for t in targets])

@@ -203,10 +203,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make("mul", out, (a, b), backward)
 
 
-def neg(a: Tensor) -> Tensor:
-    return _make("neg", -a.data, (a,), lambda g: (-g,))
-
-
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
     pos = a.data > 0.0
@@ -388,17 +384,10 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     return _make("concat", out, tuple(tensors), backward)
 
 
-def tsum(x: Tensor, axis: int | None = None) -> Tensor:
-    """Sum over one axis, or over everything (yielding a scalar tensor)."""
-    out = x.data.sum(axis=axis)
+def tsum(x: Tensor) -> Tensor:
+    """Sum of every entry, as a scalar tensor."""
     shape = x.shape
-
-    def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
-
-    return _make("sum", out, (x,), backward)
+    return _make("sum", x.data.sum(), (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
@@ -420,8 +409,8 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
 
-    Callers skip this entirely in eval mode; p == 0 is the identity but
-    still consumes no randomness.
+    The model calls it only when given an rng (training); p == 0 is the
+    identity and draws nothing.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout probability must be in [0, 1)")
@@ -471,6 +460,25 @@ def seed_for_name(root_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+class _Parameter(Tensor):
+    """A ParameterSet entry. Its ``data``, like every tensor's ``grad``,
+    cannot be rebound, so both stay views into the arena: write in place."""
+
+    __slots__ = ()
+
+    def __init__(self, data: np.ndarray, grad: np.ndarray):
+        super().__init__(data, requires_grad=True)  # asarray keeps the float64 view
+        self._grad = grad
+
+    def __setattr__(self, name: str, value) -> None:
+        # guards writes only, so reads of ``data`` stay a plain slot lookup;
+        # ``p.data += x`` adds in place, then rebinds the same array
+        if name == "data" and hasattr(self, "data") and value is not self.data:
+            raise AttributeError("a parameter's data is a view into its ParameterSet; "
+                                 "write it in place")
+        super().__setattr__(name, value)
+
+
 class ParameterSet:
     """Named trainable tensors in one flat arena: the contiguous float64
     buffers ``data`` and ``grad`` hold every value and gradient in
@@ -481,10 +489,8 @@ class ParameterSet:
         self._shapes = {name: tensors[name].shape for name in sorted(tensors)}
         self.data = np.concatenate([tensors[name].data.reshape(-1) for name in self._shapes])
         self.grad = np.zeros_like(self.data)
-        self._params = {name: Tensor(data, requires_grad=True)
-                        for name, data in self.views(self.data).items()}
-        for t, grad in zip(self._params.values(), self.views(self.grad).values()):
-            t._grad = grad
+        self._params = {name: _Parameter(data, grad) for (name, data), grad
+                        in zip(self.views(self.data).items(), self.views(self.grad).values())}
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Per-name views, in sorted-name order, of a flat array laid out like ``data``."""

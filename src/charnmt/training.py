@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .bleu import corpus_bleu
-from .data import Batch, ParallelCorpus, Vocabulary, make_batches
+from .data import Batch, ParallelCorpus, Vocabulary, make_batches, write_lines
 from .decoding import DecodeConfig, greedy_decode_batch
 from .model import ModelConfig, model_forward, param_shapes
 from .tensor import (
@@ -28,7 +28,6 @@ from .tensor import (
     Tensor,
     log_softmax_lastdim,
     mul,
-    neg,
     no_grad,
     seed_for_name,
     tsum,
@@ -57,7 +56,7 @@ def masked_cross_entropy(logits: Tensor, tgt_out: np.ndarray, tgt_mask: np.ndarr
     np.put_along_axis(q, tgt_out[..., None], smoothing / v + (1.0 - smoothing), axis=-1)
     q *= tgt_mask[..., None]
     logp = log_softmax_lastdim(logits)
-    return neg(tsum(mul(logp, Tensor(q)))) * (1.0 / n_real)
+    return tsum(mul(logp, Tensor(q))) * (-1.0 / n_real)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +198,7 @@ class TrainLog:
                 bleu = next(iter(rec.val_bleu.values()), float("nan"))
                 rows.append(f"{rec.step},{rec.epoch},,{rec.val_loss:.6f},"
                             f"{bleu:.4f},{rec.seconds:.3f}")
-        Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+        write_lines(path, rows)
 
     def write_curves_csv(self, path) -> None:
         """Per-epoch BLEU curves, one column per validation set."""
@@ -207,7 +206,7 @@ class TrainLog:
         rows = ["epoch," + ",".join(names)]
         for e in self.epochs:
             rows.append(f"{e.epoch}," + ",".join(f"{e.val_bleu[n]:.4f}" for n in names))
-        Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+        write_lines(path, rows)
 
 
 def evaluate(params: ParameterSet, config: ModelConfig, val_sets: dict[str, ParallelCorpus],
@@ -265,7 +264,7 @@ def train(params: ParameterSet, config: ModelConfig, train_config: TrainConfig,
             for batch in batches:
                 lr = lr_at_step(adam.t + 1, config.d_model, train_config.warmup)
                 params.zero_grad()
-                logits, _ = model_forward(batch, params, config, train_mode=True, rng=drop_rng)
+                logits, _ = model_forward(batch, params, config, rng=drop_rng)
                 loss = masked_cross_entropy(logits, batch.tgt_out_ids, batch.tgt_mask,
                                             train_config.label_smoothing)
                 loss.backward()

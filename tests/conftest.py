@@ -9,7 +9,7 @@ from charnmt.model import ModelConfig, build_params
 
 @pytest.fixture
 def tiny_vocab():
-    corpus = ParallelCorpus(pairs=[("abcd", "abcd")], language="toy")
+    corpus = ParallelCorpus(pairs=[("abcd", "abcd")])
     return build_vocab([corpus], 1)
 
 

@@ -28,7 +28,7 @@ def _rand_pairs(n, seed, alphabet="abcd", min_len=3, max_len=8):
 @pytest.fixture(scope="module")
 def align_setup():
     pairs = _rand_pairs(40, seed=31)
-    vocab = build_vocab([ParallelCorpus(pairs=pairs, language="x")], 1)
+    vocab = build_vocab([ParallelCorpus(pairs=pairs)], 1)
     config = ModelConfig(vocab_size=vocab.size, d_model=16, n_layers=1,
                          n_heads=2, d_ff=32, max_len=64, dropout=0.0)
     params = build_params(config, seed=7)

@@ -88,6 +88,21 @@ def test_build_vocab_missing_file_fails(tmp_path, capsys):
     assert err.startswith("error:") and "nope.src" in err
 
 
+@pytest.mark.parametrize("table, message", [
+    (b"\xef\xbb\xbf\xc3\xa9\te\n", "byte-order mark not allowed"),
+    (b"\xc3\xa9\te\r\n", "line 1 holds a CR"),
+], ids=["bom", "crlf"])
+def test_build_vocab_rejects_translit_table(corpus_files, tmp_path, capsys, table, message):
+    src, tgt = corpus_files
+    path, out = tmp_path / "table.tsv", tmp_path / "v.txt"
+    path.write_bytes(table)
+    code = main(["build-vocab", "--src", str(src), "--tgt", str(tgt), "--out", str(out),
+                 "--translit", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+    assert not out.exists()
+
+
 def test_build_vocab_mismatched_file_counts(corpus_files, tmp_path, capsys):
     src, tgt = corpus_files
     code = main(["build-vocab", "--src", str(src), str(tgt), "--tgt", str(tgt),
@@ -473,6 +488,30 @@ def test_analyze_overlong_line_names_file_and_line(tmp_path, capsys):
                  "--out", str(tmp_path / "o.csv")])
     assert code == 1
     assert f"{src}: line 6 needs {config.max_len + 1} tokens" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# input files are read as training reads them
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("raw, message", [
+    (b"\xef\xbb\xbfab\nba\naab\n", "byte-order mark not allowed"),
+    (b"ab\nb\ra\naab\n", "line 2 holds a CR"),
+], ids=["bom", "cr"])
+@pytest.mark.parametrize("command", ["translate", "score", "analyze"])
+def test_inference_rejects_bom_and_cr(tmp_path, capsys, command, raw, message):
+    ckpt, *_ = _tiny_checkpoint(tmp_path)
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text("ab\nba\naab\n")
+    bad.write_bytes(raw)
+    argv = {"translate": ["--ckpt", ckpt, "--in", bad, "--out", tmp_path / "out.txt"],
+            "score": ["--hyp", bad, "--ref", good],
+            "analyze": ["--ckpt-a", ckpt, "--ckpt-b", ckpt, "--src", bad, "--ref", good,
+                        "--grid", "8", "--k", "2", "--out", tmp_path / "o.csv"]}[command]
+    assert main([command, *map(str, argv)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: {message}") and captured.out == ""
+    assert not (tmp_path / "out.txt").exists() and not (tmp_path / "o.csv").exists()
 
 
 # ---------------------------------------------------------------------------

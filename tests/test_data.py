@@ -1,5 +1,7 @@
 """Vocabulary, transliteration, corpus loading, mixing, and batching."""
 
+import unicodedata
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from charnmt.data import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, ParallelCorpus,
                           TransliterationTable, Vocabulary, batch_from_rows,
                           build_vocab, decode, encode, encode_pair,
                           load_parallel, make_batches, mix_corpora,
-                          transliterate)
+                          read_lines, transliterate, write_lines)
 
 from conftest import rand_rng
 
@@ -17,13 +19,13 @@ from conftest import rand_rng
 # ---------------------------------------------------------------------------
 
 def test_build_vocab_counts_reserved_block():
-    corpus = ParallelCorpus(pairs=[("ab", "ba")], language="x")
+    corpus = ParallelCorpus(pairs=[("ab", "ba")])
     vocab = build_vocab([corpus], 1)
     assert vocab.size == 6  # PAD, BOS, EOS, UNK, a, b
 
 
 def test_build_vocab_min_count_threshold():
-    corpus = ParallelCorpus(pairs=[("aa", "aaz")], language="x")
+    corpus = ParallelCorpus(pairs=[("aa", "aaz")])
     vocab = build_vocab([corpus], 2)
     assert encode("z", vocab) == [UNK_ID]
     assert encode("a", vocab) != [UNK_ID]
@@ -31,8 +33,8 @@ def test_build_vocab_min_count_threshold():
 
 def test_build_vocab_order_independent():
     pairs = [("ab", "cd"), ("ef", "gh")]
-    v1 = build_vocab([ParallelCorpus(pairs=pairs, language="x")], 1)
-    v2 = build_vocab([ParallelCorpus(pairs=pairs[::-1], language="x")], 1)
+    v1 = build_vocab([ParallelCorpus(pairs=pairs)], 1)
+    v2 = build_vocab([ParallelCorpus(pairs=pairs[::-1])], 1)
     assert v1.chars == v2.chars
 
 
@@ -42,26 +44,25 @@ def test_build_vocab_rejects_empty():
 
 
 def test_build_vocab_ids_lexicographic():
-    corpus = ParallelCorpus(pairs=[("cba", "cba")], language="x")
+    corpus = ParallelCorpus(pairs=[("cba", "cba")])
     vocab = build_vocab([corpus], 1)
     assert encode("abc", vocab) == [4, 5, 6]
 
 
 def test_encode_empty_string_wraps():
-    vocab = build_vocab([ParallelCorpus(pairs=[("a", "a")], language="x")], 1)
+    vocab = build_vocab([ParallelCorpus(pairs=[("a", "a")])], 1)
     assert encode_pair("", "", vocab) == ([EOS_ID], [BOS_ID], [EOS_ID])
 
 
 def test_encode_unknown_char():
-    vocab = build_vocab([ParallelCorpus(pairs=[("ab", "ab")], language="x")], 1)
+    vocab = build_vocab([ParallelCorpus(pairs=[("ab", "ab")])], 1)
     ids = encode("a¤b", vocab)
     assert ids == [encode("a", vocab)[0], UNK_ID, encode("b", vocab)[0]]
 
 
 @pytest.mark.invariant
 def test_round_trip_random_strings():
-    vocab = build_vocab([ParallelCorpus(pairs=[("abcdefgh", "abcdefgh")],
-                                        language="x")], 1)
+    vocab = build_vocab([ParallelCorpus(pairs=[("abcdefgh", "abcdefgh")])], 1)
     rng = rand_rng(40)
     alphabet = "abcdefgh"
     for _ in range(50):
@@ -70,7 +71,7 @@ def test_round_trip_random_strings():
 
 
 def test_vocab_save_load_round_trip(tmp_path):
-    vocab = build_vocab([ParallelCorpus(pairs=[("abc", "xyz")], language="x")], 1)
+    vocab = build_vocab([ParallelCorpus(pairs=[("abc", "xyz")])], 1)
     path = tmp_path / "vocab.txt"
     vocab.save(path)
     loaded = Vocabulary.load(path)
@@ -97,11 +98,13 @@ def test_transliterate_mixed_passthrough():
     assert transliterate("a利b", table) == "atjh|b"
 
 
-def test_transliteration_table_from_tsv(tmp_path):
+@pytest.mark.parametrize("form", ["NFC", "NFD"])
+def test_transliteration_table_from_tsv(tmp_path, form):
+    # an NFD key (e + combining acute) is read as the one character of NFC text
     path = tmp_path / "table.tsv"
-    path.write_text("利\ttjh\n用\tet\n", encoding="utf-8")
+    path.write_text(unicodedata.normalize(form, "利\ttjh\n用\tet\né\te\n"), encoding="utf-8")
     table = TransliterationTable.from_tsv(path)
-    assert transliterate("利用", table) == "tjh|et|"
+    assert transliterate("利用é", table) == "tjh|et|e|"
 
 
 def test_transliteration_table_rejects_duplicates(tmp_path):
@@ -112,15 +115,49 @@ def test_transliteration_table_rejects_duplicates(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# text files
+# ---------------------------------------------------------------------------
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("raw, message", [
+    (b"\xef\xbb\xbfab\n", "byte-order mark not allowed"),
+    (b"ab\r\ncd\r\n", "line 1 holds a CR"),
+    (b"ab\ncd\ref\n", "line 2 holds a CR"),
+    (b"ab\n\xff\n", "not UTF-8"),
+], ids=["bom", "crlf", "lone-cr", "not-utf8"])
+def test_read_lines_rejects_naming_the_file(tmp_path, raw, message):
+    path = tmp_path / "in.txt"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as err:
+        read_lines(path)
+    assert str(err.value).startswith(f"{path}: {message}")
+
+
+@pytest.mark.invariant
+def test_read_lines_keeps_empty_lines_and_normalizes_nfc(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_text(unicodedata.normalize("NFD", "é\n\nb"), encoding="utf-8")
+    assert read_lines(path) == ["é", "", "b"]
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("lines", [[], [""], ["a", "", "é b"]])
+def test_write_lines_round_trips(tmp_path, lines):
+    path = tmp_path / "out.txt"
+    write_lines(path, lines)
+    assert path.read_bytes() == "".join(line + "\n" for line in lines).encode()
+    assert read_lines(path) == lines
+
+
+# ---------------------------------------------------------------------------
 # corpus loading
 # ---------------------------------------------------------------------------
 
 def test_load_parallel_pairs_lines(tmp_path):
     (tmp_path / "s.txt").write_text("one\ntwo\n", encoding="utf-8")
     (tmp_path / "t.txt").write_text("uno\ndos\n", encoding="utf-8")
-    corpus = load_parallel(tmp_path / "s.txt", tmp_path / "t.txt", language="es")
+    corpus = load_parallel(tmp_path / "s.txt", tmp_path / "t.txt")
     assert corpus.pairs == [("one", "uno"), ("two", "dos")]
-    assert corpus.language == "es"
 
 
 def test_load_parallel_rejects_count_mismatch(tmp_path):
@@ -130,6 +167,7 @@ def test_load_parallel_rejects_count_mismatch(tmp_path):
         load_parallel(tmp_path / "s.txt", tmp_path / "t.txt")
 
 
+@pytest.mark.invariant
 def test_load_parallel_rejects_empty_line_with_number(tmp_path):
     (tmp_path / "s.txt").write_text("one\n\nthree\n", encoding="utf-8")
     (tmp_path / "t.txt").write_text("a\nb\nc\n", encoding="utf-8")
@@ -138,6 +176,7 @@ def test_load_parallel_rejects_empty_line_with_number(tmp_path):
     assert "2" in str(err.value)
 
 
+@pytest.mark.invariant
 def test_load_parallel_rejects_crlf_and_bom(tmp_path):
     (tmp_path / "s.txt").write_bytes(b"one\r\ntwo\r\n")
     (tmp_path / "t.txt").write_text("a\nb\n", encoding="utf-8")
@@ -149,6 +188,7 @@ def test_load_parallel_rejects_crlf_and_bom(tmp_path):
         load_parallel(tmp_path / "s2.txt", tmp_path / "t2.txt")
 
 
+@pytest.mark.invariant
 def test_load_parallel_normalizes_nfc(tmp_path):
     decomposed = "é"  # e + combining acute
     (tmp_path / "s.txt").write_text(decomposed + "\n", encoding="utf-8")
@@ -163,15 +203,15 @@ def test_load_parallel_normalizes_nfc(tmp_path):
 
 @pytest.mark.invariant
 def test_mix_corpora_preserves_multiset():
-    a = ParallelCorpus(pairs=[(f"a{i}", f"A{i}") for i in range(3)], language="a")
-    b = ParallelCorpus(pairs=[(f"b{i}", f"B{i}") for i in range(4)], language="b")
+    a = ParallelCorpus(pairs=[(f"a{i}", f"A{i}") for i in range(3)])
+    b = ParallelCorpus(pairs=[(f"b{i}", f"B{i}") for i in range(4)])
     mixed = mix_corpora([a, b], seed=1)
     assert len(mixed.pairs) == 7
     assert sorted(mixed.pairs) == sorted(a.pairs + b.pairs)
 
 
 def test_mix_corpora_deterministic():
-    a = ParallelCorpus(pairs=[(str(i), str(i)) for i in range(20)], language="a")
+    a = ParallelCorpus(pairs=[(str(i), str(i)) for i in range(20)])
     m1 = mix_corpora([a], seed=9)
     m2 = mix_corpora([a], seed=9)
     assert m1.pairs == m2.pairs
@@ -188,8 +228,7 @@ def test_mix_corpora_rejects_empty_list():
 # ---------------------------------------------------------------------------
 
 def _toy_vocab():
-    return build_vocab([ParallelCorpus(pairs=[("abcdefgh", "abcdefgh")],
-                                       language="x")], 1)
+    return build_vocab([ParallelCorpus(pairs=[("abcdefgh", "abcdefgh")])], 1)
 
 
 def test_encode_pair_layout():
@@ -219,7 +258,7 @@ def test_batch_masks_mark_exactly_the_pads():
 
 def test_single_batch_when_budget_is_large():
     vocab = _toy_vocab()
-    corpus = ParallelCorpus(pairs=[("ab", "cd"), ("ef", "gh")], language="x")
+    corpus = ParallelCorpus(pairs=[("ab", "cd"), ("ef", "gh")])
     batches = make_batches(corpus, vocab, max_tokens=10_000, seed=0)
     assert len(batches) == 1
     assert batches[0].size == 2
@@ -227,7 +266,7 @@ def test_single_batch_when_budget_is_large():
 
 def test_oversize_pair_error_names_line():
     vocab = _toy_vocab()
-    corpus = ParallelCorpus(pairs=[("ab", "cd"), ("abcdefgh", "a")], language="x")
+    corpus = ParallelCorpus(pairs=[("ab", "cd"), ("abcdefgh", "a")])
     with pytest.raises(ValueError) as err:
         make_batches(corpus, vocab, max_tokens=6, seed=0)
     assert "line 2" in str(err.value)
@@ -242,7 +281,7 @@ def test_batches_cover_corpus_exactly_once():
         n = int(rng.integers(1, 8))
         s = "".join("abcdefgh"[j] for j in rng.integers(0, 8, size=n))
         pairs.append((s, s[::-1]))
-    corpus = ParallelCorpus(pairs=pairs, language="x")
+    corpus = ParallelCorpus(pairs=pairs)
     batches = make_batches(corpus, vocab, max_tokens=40, seed=3)
     seen = []
     for batch in batches:
@@ -261,7 +300,7 @@ def test_batches_respect_token_budget():
         n = int(rng.integers(1, 9))
         s = "".join("abcdefgh"[j] for j in rng.integers(0, 8, size=n))
         pairs.append((s, s))
-    corpus = ParallelCorpus(pairs=pairs, language="x")
+    corpus = ParallelCorpus(pairs=pairs)
     budget = 30
     for batch in make_batches(corpus, vocab, max_tokens=budget, seed=4):
         width = max(batch.src_ids.shape[1], batch.tgt_in_ids.shape[1])
@@ -271,7 +310,7 @@ def test_batches_respect_token_budget():
 def test_batch_order_is_seeded():
     vocab = _toy_vocab()
     pairs = [("a" * (i % 7 + 1), "b") for i in range(40)]
-    corpus = ParallelCorpus(pairs=pairs, language="x")
+    corpus = ParallelCorpus(pairs=pairs)
     b1 = make_batches(corpus, vocab, max_tokens=24, seed=5)
     b2 = make_batches(corpus, vocab, max_tokens=24, seed=5)
     assert all(np.array_equal(x.src_ids, y.src_ids) for x, y in zip(b1, b2))

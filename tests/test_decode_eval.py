@@ -14,7 +14,7 @@ from conftest import rand_rng
 
 
 def _toy_model(seed=0, d_model=16, n_layers=1, max_len=64, chars="abcd"):
-    corpus = ParallelCorpus(pairs=[(chars, chars)], language="x")
+    corpus = ParallelCorpus(pairs=[(chars, chars)])
     vocab = build_vocab([corpus], 1)
     config = ModelConfig(vocab_size=vocab.size, d_model=d_model, n_layers=n_layers,
                          n_heads=2, d_ff=32, max_len=max_len, dropout=0.0)

@@ -10,8 +10,9 @@ from charnmt.model import ModelConfig, build_params
 from charnmt.tensor import (MaskError, NonFiniteError, ParameterSet, ShapeError,
                             Tensor, add, concat, conv1d_same, dropout, embedding,
                             grad_check, init_param, layer_norm, log_softmax_lastdim,
-                            matmul, mul, neg, no_grad, relu, reshape, seed_for_name,
+                            matmul, mul, no_grad, relu, reshape, seed_for_name,
                             softmax_lastdim, transpose, tsum)
+from charnmt.training import AdamState, adam_step
 from oracles import brute_conv1d, naive_matmul, stable_softmax
 
 from conftest import rand_rng
@@ -309,7 +310,6 @@ def _op_cases():
     return [
         ("add", lambda p: tsum(add(p["x"], p["y"])), {"x": (3, 4), "y": (3, 4)}),
         ("mul", lambda p: tsum(mul(p["x"], p["y"])), {"x": (3, 4), "y": (3, 4)}),
-        ("neg", lambda p: tsum(neg(p["x"])), {"x": (4,)}),
         ("relu", lambda p: tsum(relu(p["x"])), {"x": (3, 4)}),
         ("matmul", lambda p: tsum(matmul(p["x"], p["y"])), {"x": (3, 4), "y": (4, 2)}),
         ("softmax", lambda p: tsum(mul(softmax_lastdim(p["x"]), p["y"])),
@@ -372,7 +372,7 @@ def test_grad_check_passes_softmax_cross_entropy():
     target[np.arange(4), [1, 0, 5, 2]] = 1.0
 
     def f(p):
-        return neg(tsum(mul(log_softmax_lastdim(p["z"]), Tensor(target))))
+        return tsum(mul(log_softmax_lastdim(p["z"]), Tensor(target))) * -1.0
 
     assert grad_check(f, params, tol=1e-5).passed
 
@@ -479,6 +479,21 @@ def test_parameter_grad_cannot_be_rebound():
     assert params[name].grad is view and not params.grad.any()
     tsum(mul(params[name], params[name])).backward()
     assert np.array_equal(params.views(params.grad)[name], 2.0 * params[name].data)
+
+
+@pytest.mark.invariant
+def test_parameter_data_cannot_be_rebound():
+    params = ParameterSet({"a": Tensor(np.ones(2), requires_grad=True)})
+    with pytest.raises(AttributeError):
+        params["a"].data = np.zeros(2)
+    params["a"].data[:] = 0.0
+    params.grad.fill(1.0)
+    adam_step(params, AdamState.for_params(params), lr=0.1)
+    assert np.shares_memory(params["a"].data, params.data) and params.data[0] != 0.0
+    assert np.array_equal(params["a"].data, params.data)
+    plain = Tensor(np.ones(2))
+    plain.data = np.zeros(3)
+    assert plain.shape == (3,)
 
 
 def test_parameter_views_reject_other_layouts():

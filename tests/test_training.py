@@ -216,7 +216,7 @@ def _micro_task(n_pairs=24, seed=60):
     for _ in range(n_pairs):
         s = "".join(alphabet[i] for i in rng.integers(0, 6, size=rng.integers(3, 9)))
         pairs.append((s, s))
-    corpus = ParallelCorpus(pairs=pairs, language="copy")
+    corpus = ParallelCorpus(pairs=pairs)
     vocab = build_vocab([corpus], 1)
     config = ModelConfig(vocab_size=vocab.size, d_model=16, n_layers=1,
                          n_heads=2, d_ff=32, max_len=32, dropout=0.0)
@@ -248,7 +248,7 @@ def test_train_same_seed_is_bit_identical():
 
 def test_train_lowers_validation_loss():
     corpus, vocab, config = _micro_task()
-    val = {"val": ParallelCorpus(pairs=corpus.pairs[:8], language="copy")}
+    val = {"val": ParallelCorpus(pairs=corpus.pairs[:8])}
     tc = TrainConfig(epochs=1, max_tokens=256, warmup=10, seed=0,
                      label_smoothing=0.0, bleu_mode="char")
     params = build_params(config, seed=0)
@@ -284,7 +284,7 @@ def test_train_aborts_on_non_finite_with_restore():
 
 def test_train_log_csv_layout(tmp_path):
     corpus, vocab, config = _micro_task()
-    val = {"val": ParallelCorpus(pairs=corpus.pairs[:4], language="copy")}
+    val = {"val": ParallelCorpus(pairs=corpus.pairs[:4])}
     tc = TrainConfig(epochs=1, max_tokens=256, warmup=10, seed=0, bleu_mode="char")
     params = build_params(config, seed=0)
     log = train(params, config, tc, corpus, vocab, val_sets=val)
