@@ -3,7 +3,6 @@ convtransformer architectures, training/decoding/BLEU, and CCA-based
 attention-alignment analysis."""
 
 from .alignment import (
-    AlignmentSample,
     AlignmentSet,
     CcaReport,
     alignment_report,

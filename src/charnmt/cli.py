@@ -13,7 +13,15 @@ import json
 import sys
 from pathlib import Path
 
-from .alignment import alignment_report, collect_alignments, cross_attention_maps, dump_matrix
+from .alignment import (
+    DEFAULT_GRID,
+    DEFAULT_K,
+    DEFAULT_REG,
+    alignment_report,
+    collect_alignments,
+    cross_attention_maps,
+    dump_matrix,
+)
 from .bleu import corpus_bleu
 from .data import (
     ParallelCorpus,
@@ -177,30 +185,45 @@ def cmd_translate(args) -> None:
             dump_matrix(matrix, dump_dir / f"line{i}.txt")
 
 
+def _read_paired(path_a, path_b) -> tuple[list[str], list[str]]:
+    """Read two files that pair line for line; a count mismatch names both."""
+    a, b = read_lines(path_a), read_lines(path_b)
+    if len(a) != len(b):
+        raise ValueError(f"{path_a} has {len(a)} lines but {path_b} has {len(b)}")
+    return a, b
+
+
 def cmd_score(args) -> None:
-    hyps = read_lines(args.hyp)
-    refs = read_lines(args.ref)
+    hyps, refs = _read_paired(args.hyp, args.ref)
     score = corpus_bleu(hyps, refs, tokenizer=args.tokenizer, smooth=args.smooth)
     print(f"BLEU {score:.2f}")
 
 
 def cmd_analyze(args) -> None:
-    srcs = read_lines(args.src)
-    refs = read_lines(args.ref)
-    if len(srcs) != len(refs):
-        raise ValueError(f"{len(srcs)} source lines vs {len(refs)} reference lines")
-    pairs = list(zip(srcs, refs))
+    stems = [Path(path).stem for path in (args.ckpt_a, args.ckpt_b)]
+    if args.dump_attn and stems[0] == stems[1]:
+        raise ValueError(f"--dump-attn writes each model's maps under its checkpoint's "
+                         f"stem, but {args.ckpt_a} and {args.ckpt_b} share the stem "
+                         f"'{stems[0]}'")
+    pairs = list(zip(*_read_paired(args.src, args.ref)))
     bundles = [(path, checkpoint_load(path)) for path in (args.ckpt_a, args.ckpt_b)]
     for path, bundle in bundles:
         _check_fits(pairs, args.src, args.ref, bundle.config.max_len,
                     f"the max_len {bundle.config.max_len} of {path}")
     sets = [collect_alignments(bundle.params, bundle.config, pairs, bundle.vocab, n=args.n,
-                               seed=args.seed, model_tag=Path(path).stem,
-                               language_tag=args.lang)
-            for path, bundle in bundles]
+                               seed=args.seed)
+            for _, bundle in bundles]
     report = alignment_report(sets[0], sets[1], grid=(args.grid, args.grid),
-                              k=args.k, reg=args.reg, csv_path=args.out,
-                              dump_dir=args.dump_attn)
+                              k=args.k, reg=args.reg)
+    write_lines(args.out, ["model_a,model_b,test_lang,n,grid,k,rho_mean",
+                           f"{stems[0]},{stems[1]},{args.lang},{report.n},"
+                           f"{args.grid}x{args.grid},{report.k},{report.rho_mean:.6f}"])
+    if args.dump_attn:
+        for stem, aset in zip(stems, sets):
+            sub = Path(args.dump_attn) / stem
+            sub.mkdir(parents=True, exist_ok=True)
+            for sid, matrix in zip(aset.ids, aset.maps):
+                dump_matrix(matrix, sub / f"sent{sid}.txt")
     print(f"rho_mean {report.rho_mean:.6f}")
 
 
@@ -247,9 +270,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--ref", required=True)
     pa.add_argument("--n", type=int, default=500)
     pa.add_argument("--seed", type=int, default=0)
-    pa.add_argument("--grid", type=int, default=32)
-    pa.add_argument("--k", type=int, default=10)
-    pa.add_argument("--reg", type=float, default=1e-4)
+    pa.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    pa.add_argument("--k", type=int, default=DEFAULT_K)
+    pa.add_argument("--reg", type=float, default=DEFAULT_REG)
     pa.add_argument("--lang", default="")
     pa.add_argument("--out", required=True)
     pa.add_argument("--dump-attn", default=None, dest="dump_attn")

@@ -338,6 +338,33 @@ def bilinear_eval(matrix: np.ndarray, g_out: int, g_in: int) -> np.ndarray:
     return out
 
 
+def _inv_sqrt_psd(s: np.ndarray) -> np.ndarray:
+    w, u = np.linalg.eigh(s)
+    w = np.clip(w, 1e-12, None)
+    return (u * w ** -0.5) @ u.T
+
+
+def p_space_cca_correlations(x: np.ndarray, y: np.ndarray, k: int, reg: float) -> np.ndarray:
+    """Regularized CCA in the full feature space: p x p covariances with reg
+    on the diagonal, inverse square roots, and the SVD of the whitened
+    cross-covariance; each correlation is the Pearson correlation of the
+    paired variates, clipped to [0, 1] and sorted descending."""
+    n, p = x.shape
+    xc, yc = x - x.mean(axis=0), y - y.mean(axis=0)
+    wx = _inv_sqrt_psd(xc.T @ xc / (n - 1) + reg * np.eye(p))
+    wy = _inv_sqrt_psd(yc.T @ yc / (n - 1) + reg * np.eye(p))
+    u, _, vt = np.linalg.svd(wx @ (xc.T @ yc / (n - 1)) @ wy)
+    corrs = np.empty(k)
+    for i in range(k):
+        a, b = xc @ (wx @ u[:, i]), yc @ (wy @ vt[i])
+        sa, sb = a.std(), b.std()
+        if sa < 1e-12 or sb < 1e-12:
+            corrs[i] = 1.0 if np.allclose(a, b, atol=1e-12) else 0.0
+        else:
+            corrs[i] = np.dot(a - a.mean(), b - b.mean()) / (n * sa * sb)
+    return np.sort(np.clip(corrs, 0.0, 1.0))[::-1]
+
+
 # ---------------------------------------------------------------------------
 # parameter accounting
 # ---------------------------------------------------------------------------

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from charnmt.alignment import (AlignmentSample, alignment_report,
-                               cca_mean_correlation, collect_alignments,
-                               cross_attention_maps, dump_matrix,
-                               project_to_grid, write_reports_csv)
-from charnmt.data import ParallelCorpus, build_vocab
+from charnmt.alignment import (alignment_report, cca_mean_correlation,
+                               collect_alignments, cross_attention_maps,
+                               project_to_grid)
+from charnmt.cli import main
+from charnmt.data import ParallelCorpus, build_vocab, write_lines
 from charnmt.model import ModelConfig, build_params
-from oracles import bilinear_eval
+from charnmt.training import checkpoint_save
+from oracles import bilinear_eval, p_space_cca_correlations
 
 from conftest import rand_rng
 
@@ -42,31 +43,31 @@ def align_setup():
 def test_collect_all_pairs_covers_every_id(align_setup):
     params, config, vocab, pairs = align_setup
     aset = collect_alignments(params, config, pairs, vocab, n=len(pairs), seed=0)
-    assert aset.sentence_ids() == list(range(len(pairs)))
+    assert aset.ids == list(range(len(pairs)))
     maps = cross_attention_maps(params, config, pairs, vocab)
-    for s, m, (src, tgt) in zip(aset.samples, maps, pairs):
-        assert s.matrix.shape == (len(tgt) + 1, len(src) + 1)
-        assert np.array_equal(s.matrix, m)
+    for s, m, (src, tgt) in zip(aset.maps, maps, pairs):
+        assert s.shape == (len(tgt) + 1, len(src) + 1)
+        assert np.array_equal(s, m)
     assert cross_attention_maps(params, config, [], vocab) == []
 
 
 def test_collect_rows_are_stochastic(align_setup):
     params, config, vocab, pairs = align_setup
     aset = collect_alignments(params, config, pairs, vocab, n=10, seed=3)
-    for s in aset.samples:
-        assert np.allclose(s.matrix.sum(axis=-1), 1.0, atol=1e-9)
-        assert (s.matrix >= 0).all()
+    for s in aset.maps:
+        assert np.allclose(s.sum(axis=-1), 1.0, atol=1e-9)
+        assert (s >= 0).all()
 
 
 def test_collect_is_seeded(align_setup):
     params, config, vocab, pairs = align_setup
     a = collect_alignments(params, config, pairs, vocab, n=15, seed=5)
     b = collect_alignments(params, config, pairs, vocab, n=15, seed=5)
-    assert a.sentence_ids() == b.sentence_ids()
-    for sa, sb in zip(a.samples, b.samples):
-        assert np.array_equal(sa.matrix, sb.matrix)
+    assert a.ids == b.ids
+    for sa, sb in zip(a.maps, b.maps):
+        assert np.array_equal(sa, sb)
     c = collect_alignments(params, config, pairs, vocab, n=15, seed=6)
-    assert a.sentence_ids() != c.sentence_ids()
+    assert a.ids != c.ids
 
 
 def test_collect_validates_sample_size(align_setup):
@@ -83,26 +84,21 @@ def test_collect_validates_sample_size(align_setup):
 # grid projection
 # ---------------------------------------------------------------------------
 
-def _sample(matrix):
-    m = np.asarray(matrix, dtype=np.float64)
-    return AlignmentSample(sentence_id=0, matrix=m)
-
-
 def test_projection_is_identity_at_native_size():
     rng = rand_rng(40)
     m = rng.random((5, 7))
     m /= m.sum(axis=-1, keepdims=True)  # row-stochastic: mass already 5
-    out = project_to_grid(_sample(m), grid=(5, 7))
+    out = project_to_grid(m, grid=(5, 7))
     assert np.allclose(out, m.reshape(-1), atol=1e-12)
 
 
 def test_projection_of_constant_matrix_is_constant():
-    out = project_to_grid(_sample(np.full((3, 9), 0.25)), grid=(4, 4))
+    out = project_to_grid(np.full((3, 9), 0.25), grid=(4, 4))
     assert np.allclose(out, 1.0 / 4.0)  # g_out / (g_out * g_in)
 
 
 def test_projection_upscales_identity_to_corners():
-    out = project_to_grid(_sample(np.eye(2)), grid=(4, 4)).reshape(4, 4)
+    out = project_to_grid(np.eye(2), grid=(4, 4)).reshape(4, 4)
     assert out[0].argmax() == 0 and out[3].argmax() == 3
     want = bilinear_eval(np.eye(2), 4, 4)
     assert np.allclose(out, want, atol=1e-12)
@@ -113,7 +109,7 @@ def test_projection_upscales_identity_to_corners():
 def test_projection_matches_pointwise_oracle(shape, grid):
     rng = rand_rng(41)
     m = rng.random(shape) + 0.01
-    out = project_to_grid(_sample(m), grid=grid)
+    out = project_to_grid(m, grid=grid)
     want = bilinear_eval(m, *grid).reshape(-1)
     assert np.allclose(out, want, atol=1e-12)
 
@@ -122,14 +118,14 @@ def test_projection_mass_equals_output_rows():
     rng = rand_rng(42)
     for shape in [(2, 3), (11, 6), (31, 33)]:
         m = rng.random(shape)
-        assert abs(project_to_grid(_sample(m), grid=(16, 8)).sum() - 16.0) < 1e-9
+        assert abs(project_to_grid(m, grid=(16, 8)).sum() - 16.0) < 1e-9
 
 
 def test_projection_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        project_to_grid(_sample(np.ones((2, 2))), grid=(0, 4))
+        project_to_grid(np.ones((2, 2)), grid=(0, 4))
     with pytest.raises(ValueError):
-        project_to_grid(_sample(np.zeros((3, 3))))  # no mass to renormalize
+        project_to_grid(np.zeros((3, 3)))  # no mass to renormalize
 
 
 # ---------------------------------------------------------------------------
@@ -213,21 +209,79 @@ def test_cca_validates_arguments():
         cca_mean_correlation(x[0], x[0], k=1)
 
 
+
+
+def _related(rng, n, p, noise=0.5):
+    x = rng.normal(size=(n, p)) * np.logspace(0, -3, p)
+    return x, x + noise * rng.normal(size=(n, p)) * np.logspace(0, -3, p)
+
+
+def _duplicated_columns(rng):
+    x, y = _related(rng, 200, 12)
+    return np.hstack([x, x[:, :6]]), np.hstack([y, y[:, :6]])
+
+
+def _self(rng):
+    x = rng.normal(size=(100, 16))
+    return x, x.copy()
+
+
+def _rotation(rng):
+    x = rng.normal(size=(300, 32))
+    return x, x @ np.linalg.qr(rng.normal(size=(32, 32)))[0]
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("make, reg", [
+    (lambda rng: _related(rng, 40, 300), 1e-4),
+    (lambda rng: _related(rng, 40, 300), 1.0),  # spreads the n < p correlations below 1
+    (lambda rng: _related(rng, 300, 20), 1e-4),
+    (_duplicated_columns, 1e-4),
+    (_self, 1e-4),
+    (_rotation, 1e-4),
+], ids=["n_below_p", "n_below_p_reg1", "n_above_p", "rank_deficient", "self", "rotation"])
+def test_cca_matches_p_space_oracle(make, reg):
+    x, y = make(rand_rng(55))
+    report = cca_mean_correlation(x, y, k=10, reg=reg)
+    want = p_space_cca_correlations(x, y, k=10, reg=reg)
+    assert np.abs(np.asarray(report.correlations) - want).max() < 1e-10
+    assert abs(report.rho_mean - want.mean()) < 1e-10
+
+
+@pytest.mark.invariant
+def test_cca_stays_in_the_sample_subspace(monkeypatch):
+    # 40 samples of 1,024 features (a 32x32 grid): no SVD runs and no
+    # decomposed matrix is larger than 40 x 40
+    shapes = {"eigh": [], "qr": [], "svd": []}
+
+    def spy(name):
+        real = getattr(np.linalg, name)
+
+        def recorded(a, *args, **kwargs):
+            shapes[name].append(np.shape(a))
+            return real(a, *args, **kwargs)
+        return recorded
+
+    for name in shapes:
+        monkeypatch.setattr(np.linalg, name, spy(name))
+    x, y = _related(rand_rng(56), 40, 1024)
+    cca_mean_correlation(x, y, k=10)
+    assert shapes["svd"] == []
+    assert shapes["qr"] == [(40, 1024)] * 2
+    assert shapes["eigh"] and max(max(shape) for shape in shapes["eigh"]) <= 40
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
 
-def test_report_self_comparison(align_setup, tmp_path):
+def test_report_self_comparison(align_setup):
     params, config, vocab, pairs = align_setup
-    a = collect_alignments(params, config, pairs, vocab, n=12, seed=1,
-                           model_tag="run_a", language_tag="x")
-    b = collect_alignments(params, config, pairs, vocab, n=12, seed=1,
-                           model_tag="run_b")
+    a = collect_alignments(params, config, pairs, vocab, n=12, seed=1)
+    b = collect_alignments(params, config, pairs, vocab, n=12, seed=1)
     report = alignment_report(a, b, grid=(8, 8), k=5)
     assert report.rho_mean > 1.0 - 1e-6
-    assert (report.model_a, report.model_b) == ("run_a", "run_b")
-    assert report.test_lang == "x"
-    assert report.grid == (8, 8)
+    assert (report.k, report.n) == (5, 12)
 
 
 def test_report_is_symmetric(align_setup):
@@ -248,43 +302,46 @@ def test_report_rejects_mismatched_sentences(align_setup):
         alignment_report(a, b, grid=(8, 8), k=5)
 
 
-def test_report_csv_layout(align_setup, tmp_path):
+def _analyze(align_setup, tmp_path, *extra):
+    """Run `charnmt analyze` on the setup's model (saved as standard.ckpt)
+    against a second seed (conv.ckpt) over the setup's pairs; return the
+    two models' parameters in that order."""
     params, config, vocab, pairs = align_setup
-    a = collect_alignments(params, config, pairs, vocab, n=12, seed=1,
-                           model_tag="standard", language_tag="lang_a")
-    b = collect_alignments(params, config, pairs, vocab, n=12, seed=1,
-                           model_tag="conv")
-    csv = tmp_path / "report.csv"
-    report = alignment_report(a, b, grid=(8, 8), k=5, csv_path=csv)
-    lines = csv.read_text().splitlines()
+    models = {"standard": params, "conv": build_params(config, seed=99)}
+    for stem, p in models.items():
+        checkpoint_save(p, config, vocab, None, tmp_path / f"{stem}.ckpt")
+    write_lines(tmp_path / "test.src", [src for src, _ in pairs])
+    write_lines(tmp_path / "test.ref", [ref for _, ref in pairs])
+    assert main(["analyze", "--ckpt-a", str(tmp_path / "standard.ckpt"),
+                 "--ckpt-b", str(tmp_path / "conv.ckpt"), "--src", str(tmp_path / "test.src"),
+                 "--ref", str(tmp_path / "test.ref"), "--seed", "1", "--grid", "8",
+                 "--k", "5", "--out", str(tmp_path / "report.csv"), *extra]) == 0
+    return models
+
+
+def test_report_csv_layout(align_setup, tmp_path, capsys):
+    _, config, vocab, pairs = align_setup
+    models = _analyze(align_setup, tmp_path, "--n", "12", "--lang", "lang_a")
+    a, b = (collect_alignments(p, config, pairs, vocab, n=12, seed=1) for p in models.values())
+    rho = alignment_report(a, b, grid=(8, 8), k=5).rho_mean
+    assert capsys.readouterr().out == f"rho_mean {rho:.6f}\n"
+    lines = (tmp_path / "report.csv").read_text().splitlines()
     assert lines[0] == "model_a,model_b,test_lang,n,grid,k,rho_mean"
-    assert lines[1] == f"standard,conv,lang_a,12,8x8,5,{report.rho_mean:.6f}"
+    assert lines[1] == f"standard,conv,lang_a,12,8x8,5,{rho:.6f}"
     assert len(lines) == 2
 
 
 def test_report_dump_files_parse_back(align_setup, tmp_path):
-    params, config, vocab, pairs = align_setup
-    a = collect_alignments(params, config, pairs, vocab, n=8, seed=1,
-                           model_tag="m1")
-    b = collect_alignments(params, config, pairs, vocab, n=8, seed=1,
-                           model_tag="m2")
-    alignment_report(a, b, grid=(8, 8), k=5, dump_dir=tmp_path)
-    for tag, aset in (("m1", a), ("m2", b)):
-        for s in aset.samples:
-            path = tmp_path / tag / f"sent{s.sentence_id}.txt"
+    _, config, vocab, pairs = align_setup
+    dump = tmp_path / "heat"
+    models = _analyze(align_setup, tmp_path, "--n", "8", "--dump-attn", str(dump))
+    assert sorted(d.name for d in dump.iterdir()) == ["conv", "standard"]
+    for stem, p in models.items():
+        aset = collect_alignments(p, config, pairs, vocab, n=8, seed=1)
+        assert len(list((dump / stem).iterdir())) == 8
+        for sid, m in zip(aset.ids, aset.maps):
+            path = dump / stem / f"sent{sid}.txt"
             first = path.read_text().splitlines()[0].split()
-            assert [int(v) for v in first] == list(s.matrix.shape)
-            back = np.loadtxt(path, skiprows=1).reshape(s.matrix.shape)
-            assert np.allclose(back, s.matrix, atol=1e-7)
-
-
-def test_write_reports_csv_multiple_rows(tmp_path):
-    from charnmt.alignment import CcaReport
-    reports = [CcaReport(rho_mean=0.5, correlations=(0.5,), k=1, n=10,
-                         grid=(4, 4), model_a="a", model_b="b", test_lang="l"),
-               CcaReport(rho_mean=0.25, correlations=(0.25,), k=1, n=10)]
-    path = tmp_path / "r.csv"
-    write_reports_csv(reports, path)
-    lines = path.read_text().splitlines()
-    assert lines[1] == "a,b,l,10,4x4,1,0.500000"
-    assert lines[2] == ",,,10,32x32,1,0.250000"
+            assert [int(v) for v in first] == list(m.shape)
+            back = np.loadtxt(path, skiprows=1).reshape(m.shape)
+            assert np.allclose(back, m, atol=1e-7)

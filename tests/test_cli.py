@@ -438,7 +438,7 @@ def test_score_length_mismatch_fails(tmp_path, capsys):
     hyp.write_text("a\n")
     ref.write_text("a\nb\n")
     assert main(["score", "--hyp", str(hyp), "--ref", str(ref)]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {hyp} has 1 lines but {ref} has 2\n"
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +477,28 @@ def test_analyze_line_count_mismatch_fails(tmp_path, capsys):
                  "--src", str(src), "--ref", str(ref),
                  "--out", str(tmp_path / "o.csv")])
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {src} has 1 lines but {ref} has 2\n"
+
+
+def test_analyze_dump_rejects_checkpoints_with_one_stem(tmp_path, capsys):
+    # the dumps go under DIR/<stem>/, so a/best.ckpt and b/best.ckpt would
+    # write one directory and the second model's maps would replace the first's
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    ckpt_a, *_ = _tiny_checkpoint(tmp_path / "a", name="best.ckpt", seed=0)
+    ckpt_b, *_ = _tiny_checkpoint(tmp_path / "b", name="best.ckpt", seed=1)
+    src, ref = tmp_path / "s.txt", tmp_path / "r.txt"
+    src.write_text("\n".join(SRC_LINES) + "\n")
+    ref.write_text("\n".join(TGT_LINES) + "\n")
+    out, dump = tmp_path / "o.csv", tmp_path / "heat"
+    argv = ["analyze", "--ckpt-a", str(ckpt_a), "--ckpt-b", str(ckpt_b), "--src", str(src),
+            "--ref", str(ref), "--n", "5", "--grid", "4", "--k", "2", "--out", str(out)]
+    assert main([*argv, "--dump-attn", str(dump)]) == 1
+    err = capsys.readouterr().err
+    assert str(ckpt_a) in err and str(ckpt_b) in err and "'best'" in err
+    assert not out.exists() and not dump.exists()
+    assert main(argv) == 0  # without dumps, equal stems are only labels
+    assert out.read_text().splitlines()[1].startswith("best,best,,5,4x4,2,")
 
 
 def test_analyze_overlong_line_names_file_and_line(tmp_path, capsys):
