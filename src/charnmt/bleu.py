@@ -7,6 +7,8 @@ import math
 from collections import Counter
 
 MAX_N = 4
+TOKENIZERS = ("whitespace", "char")  # "char" suits corpora without spaces
+DEFAULT_TOKENIZER = "whitespace"
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
@@ -14,7 +16,7 @@ def _ngrams(tokens: list[str], n: int) -> Counter:
 
 
 def corpus_bleu(hypotheses: list[str], references: list[str],
-                tokenizer: str = "whitespace", smooth: bool = False) -> float:
+                tokenizer: str = DEFAULT_TOKENIZER, smooth: bool = False) -> float:
     """Corpus BLEU over paired hypothesis/reference sentences.
 
     ``tokenizer`` is "whitespace" for word-level scoring of detokenized
@@ -23,8 +25,8 @@ def corpus_bleu(hypotheses: list[str], references: list[str],
     whole score, as in the classic definition; ``smooth`` replaces zero
     counts with 1 so tiny corpora stay comparable.
     """
-    if tokenizer not in ("whitespace", "char"):
-        raise ValueError("tokenizer must be 'whitespace' or 'char'")
+    if tokenizer not in TOKENIZERS:
+        raise ValueError(f"tokenizer must be one of {TOKENIZERS}")
     if len(hypotheses) != len(references):
         raise ValueError(f"{len(hypotheses)} hypotheses vs {len(references)} references")
     if not hypotheses:

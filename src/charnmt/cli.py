@@ -22,7 +22,7 @@ from .alignment import (
     cross_attention_maps,
     dump_matrix,
 )
-from .bleu import corpus_bleu
+from .bleu import DEFAULT_TOKENIZER, TOKENIZERS, corpus_bleu
 from .data import (
     ParallelCorpus,
     TransliterationTable,
@@ -43,13 +43,13 @@ _MODEL_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ModelConfig)
                    if f.name != "vocab_size"}
 _TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
 _DATA_DEFAULTS = {
-    "corpora": [],   # [{"src": path, "tgt": path, "lang": name}, ...]
-    "val": [],
+    "corpora": [],   # [{"src": path, "tgt": path}, ...]
+    "val": [],       # as corpora, plus an optional "lang" naming the set
     "vocab": None,   # path to an existing vocabulary file, else built
     "translit": None,
     "min_count": 1,
 }
-_CORPUS_ENTRY_KEYS = ("src", "tgt", "lang")
+_ENTRY_KEYS = {"corpora": ("src", "tgt"), "val": ("src", "tgt", "lang")}
 
 
 def resolve_run_config(doc: dict) -> dict:
@@ -71,7 +71,7 @@ def resolve_run_config(doc: dict) -> dict:
         given = doc.get(name, {})
         offenders += [f"{name}.{key}" for key in given if key not in defaults]
         resolved[name] = {**defaults, **{k: v for k, v in given.items() if k in defaults}}
-    for listname in ("corpora", "val"):
+    for listname, keys in _ENTRY_KEYS.items():
         entries = resolved["data"][listname]
         if not isinstance(entries, list):
             raise ValueError(f"data.{listname} must be a list of corpus entries")
@@ -79,8 +79,7 @@ def resolve_run_config(doc: dict) -> dict:
             if not isinstance(entry, dict) or "src" not in entry or "tgt" not in entry:
                 raise ValueError(f"data.{listname}[{i}] must be an object with "
                                  f"'src' and 'tgt' paths")
-            offenders += [f"data.{listname}[{i}].{key}" for key in entry
-                          if key not in _CORPUS_ENTRY_KEYS]
+            offenders += [f"data.{listname}[{i}].{key}" for key in entry if key not in keys]
     if offenders:
         raise ValueError("unknown config keys: " + ", ".join(sorted(offenders)))
     return resolved
@@ -239,7 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--tgt", nargs="+", required=True)
     pv.add_argument("--out", required=True)
     pv.add_argument("--translit", default=None, help="TSV latinization table for sources")
-    pv.add_argument("--min-count", type=int, default=1, dest="min_count")
+    pv.add_argument("--min-count", type=int, default=_DATA_DEFAULTS["min_count"],
+                    dest="min_count")
     pv.set_defaults(func=cmd_build_vocab)
 
     pt = sub.add_parser("train", help="train a model from a JSON run config")
@@ -251,7 +251,8 @@ def _build_parser() -> argparse.ArgumentParser:
     px.add_argument("--ckpt", required=True)
     px.add_argument("--in", required=True, dest="infile")
     px.add_argument("--out", required=True)
-    px.add_argument("--beam", type=int, default=1, help="beam size; 1 means greedy")
+    px.add_argument("--beam", type=int, default=DecodeConfig.beam_size,
+                    help="beam size; 1 means greedy")
     px.add_argument("--translit", default=None)
     px.add_argument("--dump-attn", default=None, dest="dump_attn")
     px.set_defaults(func=cmd_translate)
@@ -259,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("score", help="corpus BLEU of a hypothesis file")
     ps.add_argument("--hyp", required=True)
     ps.add_argument("--ref", required=True)
-    ps.add_argument("--tokenizer", choices=("whitespace", "char"), default="whitespace")
+    ps.add_argument("--tokenizer", choices=TOKENIZERS, default=DEFAULT_TOKENIZER)
     ps.add_argument("--smooth", action="store_true")
     ps.set_defaults(func=cmd_score)
 

@@ -12,6 +12,7 @@ package is read by ``read_lines`` and written by ``write_lines``.
 from __future__ import annotations
 
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -86,7 +87,7 @@ class Vocabulary:
         return cls(chars=tuple(read_lines(path)))
 
 
-def build_vocab(corpora: list["ParallelCorpus"], min_count: int = 1) -> Vocabulary:
+def build_vocab(corpora: list["ParallelCorpus"], min_count: int) -> Vocabulary:
     """Shared character vocabulary over both sides of every corpus.
 
     Characters appearing at least ``min_count`` times in total are kept and
@@ -97,13 +98,7 @@ def build_vocab(corpora: list["ParallelCorpus"], min_count: int = 1) -> Vocabula
         raise ValueError("min_count must be >= 1")
     if not corpora or all(len(c.pairs) == 0 for c in corpora):
         raise ValueError("cannot build a vocabulary from empty corpora")
-    counts: dict[str, int] = {}
-    for corpus in corpora:
-        for src, tgt in corpus.pairs:
-            for ch in src:
-                counts[ch] = counts.get(ch, 0) + 1
-            for ch in tgt:
-                counts[ch] = counts.get(ch, 0) + 1
+    counts = Counter(ch for corpus in corpora for src, tgt in corpus.pairs for ch in src + tgt)
     kept = sorted(c for c, n in counts.items() if n >= min_count)
     return Vocabulary(chars=tuple(kept))
 
@@ -189,9 +184,11 @@ class ParallelCorpus:
 
 def load_parallel(src_path, tgt_path) -> ParallelCorpus:
     """Load two aligned one-sentence-per-line files through ``read_lines``;
-    empty lines and unequal line counts are rejected as well."""
+    empty files, empty lines and unequal line counts are rejected as well."""
     src_lines, tgt_lines = read_lines(src_path), read_lines(tgt_path)
     for path, lines in ((src_path, src_lines), (tgt_path, tgt_lines)):
+        if not lines:
+            raise ValueError(f"{path}: no lines")
         if "" in lines:
             raise ValueError(f"{path}:{lines.index('') + 1}: empty line")
     if len(src_lines) != len(tgt_lines):

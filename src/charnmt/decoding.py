@@ -2,8 +2,9 @@
 
 The search is deterministic: hypotheses are ranked by (score desc, ids
 asc), so equal scores resolve lexicographically and a greedy step's ties
-go to the lowest token id. A hard length cap derived from the source
-length guarantees termination on arbitrary (e.g. untrained) models.
+go to the lowest token id. A hard length cap guarantees termination on
+arbitrary (e.g. untrained) models: a source of n characters (n + 1 ids
+with EOS) gets int(max_len_ratio * (n + 1)) + 10 tokens, at most max_len - 1.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class DecodeConfig:
     """Search settings; ``beam_size`` 1 is greedy decoding."""
 
     beam_size: int = 1
-    max_len_ratio: float = 3.0    # cap = ratio * source length + 10
+    max_len_ratio: float = 3.0    # cap = ratio * (characters + 1 for EOS) + 10, <= max_len - 1
     length_penalty: float = 0.0   # score = logP / length^penalty
 
     def __post_init__(self):
@@ -104,19 +105,19 @@ def _search(params: ParameterSet, config: ModelConfig, srcs: list[str],
 
 
 def greedy_decode_batch(params: ParameterSet, config: ModelConfig, srcs: list[str],
-                        vocab: Vocabulary, cfg: DecodeConfig | None = None) -> list[str]:
+                        vocab: Vocabulary, cfg: DecodeConfig) -> list[str]:
     """Greedy-decode many sources at once; equivalent to sentence-by-sentence
-    decoding because padded positions are masked out of every sub-layer."""
-    return _search(params, config, srcs, vocab, cfg or DecodeConfig(), 1)
+    decoding because padded positions are masked out of every sub-layer.
+    ``cfg.beam_size`` is not read: greedy is width 1."""
+    return _search(params, config, srcs, vocab, cfg, 1)
 
 
 def beam_decode(params: ParameterSet, config: ModelConfig, src: str,
-                vocab: Vocabulary, cfg: DecodeConfig | None = None) -> str:
-    """Length-normalized beam search over one sentence.
+                vocab: Vocabulary, cfg: DecodeConfig) -> str:
+    """Length-normalized beam search of width ``cfg.beam_size`` over one sentence.
 
     Hypotheses are scored by logP / length^penalty; finished hypotheses
     keep competing for beam slots with frozen scores. beam_size=1 is
     greedy decoding.
     """
-    cfg = cfg or DecodeConfig(beam_size=4)
     return _search(params, config, [src], vocab, cfg, cfg.beam_size)[0]

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,13 +59,16 @@ class ModelConfig:
     max_len: int = 512
 
     def __post_init__(self):
+        for name, least in (("vocab_size", 1), ("d_model", 1), ("n_layers", 1), ("n_heads", 1),
+                            ("d_ff", 0), ("fuse_window", 1), ("max_len", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.d_ff == 0:
             self.d_ff = 4 * self.d_model
         self.conv_windows = tuple(sorted(int(w) for w in self.conv_windows))
         if self.encoder_kind not in ENCODER_KINDS:
             raise ValueError(f"encoder_kind must be one of {ENCODER_KINDS}")
-        if self.vocab_size <= 0 or self.n_layers <= 0 or self.n_heads <= 0:
-            raise ValueError("vocab_size, n_layers and n_heads must be positive")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if self.d_model % 2 != 0:
@@ -78,15 +82,6 @@ class ModelConfig:
             raise ValueError(f"conv windows must be distinct, got {self.conv_windows}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if self.max_len <= 0:
-            raise ValueError("max_len must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +163,12 @@ def build_params(config: ModelConfig, seed: int) -> ParameterSet:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=16)
-def _positions_cached(max_len: int, d_model: int) -> np.ndarray:
+def sinusoidal_positions(max_len: int, d_model: int) -> np.ndarray:
+    """Sinusoidal position table [max_len, d_model]: sin on even dims, cos
+    on odd dims, wavelengths 10000^(2i/d_model). Cached per shape, so the
+    array is read-only."""
+    if d_model % 2 != 0:
+        raise ShapeError("d_model must be even for sinusoidal positions")
     pos = np.arange(max_len)[:, None]
     i = np.arange(d_model // 2)[None, :]
     angle = pos / np.power(10000.0, 2.0 * i / d_model)
@@ -177,13 +177,6 @@ def _positions_cached(max_len: int, d_model: int) -> np.ndarray:
     enc[:, 1::2] = np.cos(angle)
     enc.setflags(write=False)
     return enc
-
-def sinusoidal_positions(max_len: int, d_model: int) -> Tensor:
-    """Sinusoidal position table: sin on even dims, cos on odd dims,
-    wavelengths 10000^(2i/d_model)."""
-    if d_model % 2 != 0:
-        raise ShapeError("d_model must be even for sinusoidal positions")
-    return Tensor(_positions_cached(max_len, d_model))
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
@@ -279,7 +272,7 @@ def _embed(ids: np.ndarray, params: ParameterSet, which: str, config: ModelConfi
     if t > config.max_len:
         raise ShapeError(f"sequence length {t} exceeds max_len {config.max_len}")
     x = embedding(params[f"{which}.weight"], ids) * math.sqrt(config.d_model)
-    x = x + Tensor(_positions_cached(config.max_len, config.d_model)[:t])
+    x = x + Tensor(sinusoidal_positions(config.max_len, config.d_model)[:t])
     if rng is not None:
         x = dropout(x, config.dropout, rng)
     return x

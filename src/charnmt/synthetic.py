@@ -15,35 +15,31 @@ import numpy as np
 from .data import ParallelCorpus
 
 TARGET_ALPHABET = "abcdefghij"
+MIN_LEN, MAX_LEN = 5, 20  # string lengths are drawn uniformly from [MIN_LEN, MAX_LEN]
 CIPHERS = {
     "lang_a": dict(zip(TARGET_ALPHABET, "klmnopqrst")),
     "lang_b": dict(zip(TARGET_ALPHABET, "uvwxyz0123")),
 }
 
 
-def random_strings(n: int, seed: int, alphabet: str = TARGET_ALPHABET,
-                   min_len: int = 5, max_len: int = 20) -> list[str]:
-    if not 1 <= min_len <= max_len:
-        raise ValueError("need 1 <= min_len <= max_len")
+def random_strings(n: int, seed: int) -> list[str]:
     rng = np.random.Generator(np.random.PCG64(seed))
-    lengths = rng.integers(min_len, max_len + 1, size=n)
-    return ["".join(alphabet[i] for i in rng.integers(0, len(alphabet), size=length))
+    lengths = rng.integers(MIN_LEN, MAX_LEN + 1, size=n)
+    return ["".join(TARGET_ALPHABET[i]
+                    for i in rng.integers(0, len(TARGET_ALPHABET), size=length))
             for length in lengths]
 
 
-def copy_corpus(n_pairs: int, seed: int, alphabet: str = TARGET_ALPHABET,
-                min_len: int = 5, max_len: int = 20) -> ParallelCorpus:
+def copy_corpus(n_pairs: int, seed: int) -> ParallelCorpus:
     """Pairs whose target equals the source."""
-    strings = random_strings(n_pairs, seed, alphabet, min_len, max_len)
-    return ParallelCorpus(pairs=[(s, s) for s in strings])
+    return ParallelCorpus(pairs=[(s, s) for s in random_strings(n_pairs, seed)])
 
 
-def cipher_corpus(n_pairs: int, seed: int, cipher_name: str,
-                  min_len: int = 5, max_len: int = 20) -> ParallelCorpus:
+def cipher_corpus(n_pairs: int, seed: int, cipher_name: str) -> ParallelCorpus:
     """Pairs (cipher(t), t) for random targets t; the source alphabet is
     disjoint from the target alphabet and from every other cipher's."""
     if cipher_name not in CIPHERS:
         raise ValueError(f"cipher_name must be one of {sorted(CIPHERS)}")
     table = str.maketrans(CIPHERS[cipher_name])
-    targets = random_strings(n_pairs, seed, TARGET_ALPHABET, min_len, max_len)
+    targets = random_strings(n_pairs, seed)
     return ParallelCorpus(pairs=[(t.translate(table), t) for t in targets])

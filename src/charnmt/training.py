@@ -12,12 +12,12 @@ import json
 import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .bleu import corpus_bleu
+from .bleu import DEFAULT_TOKENIZER, TOKENIZERS, corpus_bleu
 from .data import Batch, ParallelCorpus, Vocabulary, make_batches, write_lines
 from .decoding import DecodeConfig, greedy_decode_batch
 from .model import ModelConfig, model_forward, param_shapes
@@ -35,7 +35,7 @@ from .tensor import (
 
 
 def masked_cross_entropy(logits: Tensor, tgt_out: np.ndarray, tgt_mask: np.ndarray,
-                         smoothing: float = 0.1) -> Tensor:
+                         smoothing: float) -> Tensor:
     """Mean negative log-likelihood over non-pad target positions.
 
     With label smoothing alpha, the per-position target distribution is
@@ -113,7 +113,7 @@ def adam_step(params: ParameterSet, state: AdamState, lr: float) -> None:
     params.data -= step
 
 
-def lr_at_step(step: int, d_model: int, warmup: int = 400) -> float:
+def lr_at_step(step: int, d_model: int, warmup: int) -> float:
     """Inverse-sqrt schedule: linear ramp to the peak at step == warmup,
     then decay as step^-0.5, the whole curve scaled by d_model^-0.5."""
     if step < 1 or warmup < 1:
@@ -121,7 +121,7 @@ def lr_at_step(step: int, d_model: int, warmup: int = 400) -> float:
     return d_model ** -0.5 * min(step ** -0.5, step * warmup ** -1.5)
 
 
-def clip_grad_norm(params: ParameterSet, max_norm: float = 1.0) -> float:
+def clip_grad_norm(params: ParameterSet, max_norm: float) -> float:
     """Scale the gradient buffer so its global L2 norm is at most max_norm.
     Returns the pre-clip norm."""
     # per-parameter sums added in name order: one sum over the whole buffer
@@ -147,7 +147,7 @@ class TrainConfig:
     seed: int = 0
     label_smoothing: float = 0.1
     clip_norm: float = 1.0
-    bleu_mode: str = "whitespace"  # "char" suits space-free toy corpora
+    bleu_mode: str = DEFAULT_TOKENIZER
     early_stop_bleu: float = 0.0   # > 0: stop once every val set clears it
 
     def __post_init__(self):
@@ -157,8 +157,10 @@ class TrainConfig:
             raise ValueError("warmup and max_tokens must be >= 1")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError("label_smoothing must be in [0, 1)")
-        if self.bleu_mode not in ("whitespace", "char"):
-            raise ValueError("bleu_mode must be 'whitespace' or 'char'")
+        if not 0.0 < self.clip_norm < np.inf:
+            raise ValueError(f"clip_norm must be finite and positive, got {self.clip_norm}")
+        if self.bleu_mode not in TOKENIZERS:
+            raise ValueError(f"bleu_mode must be one of {TOKENIZERS}")
 
 
 @dataclass
@@ -215,7 +217,6 @@ def evaluate(params: ParameterSet, config: ModelConfig, val_sets: dict[str, Para
     BLEU per validation set."""
     losses, weights = [], []
     bleus: dict[str, float] = {}
-    dcfg = DecodeConfig()
     with no_grad():
         for name, corpus in val_sets.items():
             for batch in make_batches(corpus, vocab, train_config.max_tokens, seed=0):
@@ -225,7 +226,7 @@ def evaluate(params: ParameterSet, config: ModelConfig, val_sets: dict[str, Para
                 losses.append(loss.item())
                 weights.append(batch.n_target_tokens)
             hyps = greedy_decode_batch(params, config, [s for s, _ in corpus.pairs],
-                                       vocab, dcfg)
+                                       vocab, DecodeConfig())
             bleus[name] = corpus_bleu(hyps, [t for _, t in corpus.pairs],
                                       tokenizer=train_config.bleu_mode)
     val_loss = float(np.average(losses, weights=weights)) if losses else float("nan")
@@ -356,7 +357,7 @@ def checkpoint_save(params: ParameterSet, config: ModelConfig, vocab: Vocabulary
     one, never a torn one.
     """
     header = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "vocab_chars": "".join(vocab.chars),
         "step": int(step),
         "epoch": int(epoch),
@@ -388,7 +389,8 @@ def checkpoint_save(params: ParameterSet, config: ModelConfig, vocab: Vocabulary
 
 
 def checkpoint_load(path) -> CheckpointBundle:
-    """Restore a checkpoint_save file; rejects wrong magic or version and
+    """Restore a checkpoint_save file; rejects wrong magic or version, a
+    missing or invalid header field (naming the file and the field), and
     shapes that disagree with the header's architecture."""
     with open(path, "rb") as f:
         if _read_exact(f, 4) != CKPT_MAGIC:
@@ -400,7 +402,13 @@ def checkpoint_load(path) -> CheckpointBundle:
         header = json.loads(_read_exact(f, header_len).decode("utf-8"))
         (n_records,) = struct.unpack("<I", _read_exact(f, 4))
         records = dict(_read_record(f) for _ in range(n_records))
-    config = ModelConfig.from_dict(header["config"])
+    for key in ("config", "vocab_chars", "step", "epoch", "adam"):
+        if key not in header:
+            raise ValueError(f"{path}: checkpoint header has no '{key}'")
+    try:
+        config = ModelConfig(**header["config"])
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: bad model config in the checkpoint header: {e}") from None
     vocab = Vocabulary(chars=tuple(header["vocab_chars"]))
     expected = param_shapes(config)
 

@@ -11,7 +11,7 @@ import pytest
 from charnmt.alignment import cross_attention_maps
 from charnmt.cli import main, resolve_run_config
 from charnmt.data import ParallelCorpus, build_vocab
-from charnmt.decoding import greedy_decode_batch
+from charnmt.decoding import DecodeConfig, greedy_decode_batch
 from charnmt.model import ModelConfig, build_params
 from charnmt.training import checkpoint_save
 
@@ -34,7 +34,7 @@ def _tiny_config(src, tgt, epochs=0, val=None, **train_extra):
                   "max_len": 64, "dropout": 0.0},
         "train": {"epochs": epochs, "max_tokens": 64, "warmup": 10,
                   "label_smoothing": 0.0, **train_extra},
-        "data": {"corpora": [{"src": str(src), "tgt": str(tgt), "lang": "toy"}]},
+        "data": {"corpora": [{"src": str(src), "tgt": str(tgt)}]},
     }
     if val is not None:
         cfg["data"]["val"] = val
@@ -200,6 +200,22 @@ def test_train_empty_corpora_fails(tmp_path, capsys):
     assert "corpora" in capsys.readouterr().err
 
 
+@pytest.mark.invariant
+@pytest.mark.parametrize("listname", ["corpora", "val"])
+def test_train_empty_pair_file_fails_before_training(corpus_files, tmp_path, capsys, listname):
+    src, tgt = corpus_files
+    empty_src, empty_tgt = tmp_path / "empty.src", tmp_path / "empty.tgt"
+    empty_src.write_text("")
+    empty_tgt.write_text("")
+    cfg = _tiny_config(src, tgt, epochs=1, val=[])
+    cfg["data"][listname].append({"src": str(empty_src), "tgt": str(empty_tgt)})
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(_write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {empty_src}: no lines\n"
+    assert not (out / "latest.ckpt").exists()
+
+
 def test_train_unknown_config_key_fails(corpus_files, tmp_path, capsys):
     src, tgt = corpus_files
     cfg = _tiny_config(src, tgt)
@@ -208,6 +224,17 @@ def test_train_unknown_config_key_fails(corpus_files, tmp_path, capsys):
     code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
     assert code == 1
     assert "train.optimizer" in capsys.readouterr().err
+
+
+@pytest.mark.invariant
+def test_train_corpus_lang_is_an_unknown_key(corpus_files, tmp_path, capsys):
+    """Only a validation entry's ``lang`` is read: it names the BLEU column."""
+    cfg = _tiny_config(*corpus_files)
+    cfg["data"]["corpora"][0]["lang"] = "toy"
+    code = main(["train", "--config", str(_write_config(tmp_path, cfg)),
+                 "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: unknown config keys: data.corpora[0].lang\n"
 
 
 def test_train_corpus_entry_without_src_fails(corpus_files, tmp_path, capsys):
@@ -302,7 +329,7 @@ def test_translate_matches_library_greedy(tmp_path):
     assert main(["translate", "--ckpt", str(ckpt), "--in", str(infile),
                  "--out", str(outfile)]) == 0
     got = outfile.read_text().splitlines()
-    assert got == greedy_decode_batch(params, config, srcs, vocab)
+    assert got == greedy_decode_batch(params, config, srcs, vocab, DecodeConfig())
 
 
 def test_translate_beam_flag(tmp_path):

@@ -48,7 +48,7 @@ def test_greedy_immediate_eos_gives_empty_string():
     params, config, vocab = _toy_model()
     _zeroed(params)
     params["out.bias"].data[EOS_ID] = 10.0
-    out = greedy_decode_batch(params, config, ["abc"], vocab)[0]
+    out = greedy_decode_batch(params, config, ["abc"], vocab, DecodeConfig())[0]
     maps = cross_attention_maps(params, config, [("abc", out)], vocab)
     assert out == ""
     # one map for the sentence: a single EOS-producing row over src + EOS
@@ -61,7 +61,7 @@ def test_greedy_tie_breaks_to_lowest_id():
     # two char ids tied at the top: the lower one must win every step
     params["out.bias"].data[5] = 10.0
     params["out.bias"].data[7] = 10.0
-    out = greedy_decode_batch(params, config, ["ab"], vocab)[0]
+    out = greedy_decode_batch(params, config, ["ab"], vocab, DecodeConfig())[0]
     assert set(out) == {vocab.chars[5 - 4]}
 
 
@@ -70,14 +70,14 @@ def test_greedy_respects_length_cap():
     _zeroed(params)
     params["out.bias"].data[5] = 10.0  # never emits EOS
     src = "abcd"
-    out = greedy_decode_batch(params, config, [src], vocab)[0]
+    out = greedy_decode_batch(params, config, [src], vocab, DecodeConfig())[0]
     assert len(out) == int(3.0 * (len(src) + 1)) + 10
 
 
 def test_greedy_never_emits_reserved_characters():
     params, config, vocab = _toy_model(seed=11)
     for src in ("a", "ab", "abcd", "dcba"):
-        out = greedy_decode_batch(params, config, [src], vocab)[0]
+        out = greedy_decode_batch(params, config, [src], vocab, DecodeConfig())[0]
         assert all(c in "abcd" for c in out)
 
 
@@ -86,21 +86,21 @@ def test_greedy_batch_equals_single():
     """Batched decoding with its padding must reproduce one-by-one decoding."""
     params, config, vocab = _toy_model(seed=12)
     srcs = ["a", "abcd", "ba", "dcab", "abc"]
-    batched = greedy_decode_batch(params, config, srcs, vocab)
-    single = [greedy_decode_batch(params, config, [s], vocab)[0] for s in srcs]
+    batched = greedy_decode_batch(params, config, srcs, vocab, DecodeConfig())
+    single = [greedy_decode_batch(params, config, [s], vocab, DecodeConfig())[0] for s in srcs]
     assert batched == single
 
 
 def test_greedy_deterministic():
     params, config, vocab = _toy_model(seed=13)
-    a = greedy_decode_batch(params, config, ["abcd"], vocab)
-    b = greedy_decode_batch(params, config, ["abcd"], vocab)
+    a = greedy_decode_batch(params, config, ["abcd"], vocab, DecodeConfig())
+    b = greedy_decode_batch(params, config, ["abcd"], vocab, DecodeConfig())
     assert a == b
 
 
 def test_greedy_attention_maps_cover_output():
     params, config, vocab = _toy_model(seed=14)
-    out = greedy_decode_batch(params, config, ["abcd"], vocab)[0]
+    out = greedy_decode_batch(params, config, ["abcd"], vocab, DecodeConfig())[0]
     maps = cross_attention_maps(params, config, [("abcd", out)], vocab)
     assert maps[0].shape == (len(out) + 1, 5)  # +1 EOS row, src+EOS cols
     assert np.allclose(maps[0].sum(axis=-1), 1.0, atol=1e-6)
@@ -115,7 +115,7 @@ def test_beam_size_one_equals_greedy():
     cfg = DecodeConfig(beam_size=1)
     for src in ("ab", "abcd", "dc"):
         assert beam_decode(params, config, src, vocab, cfg) == \
-            greedy_decode_batch(params, config, [src], vocab)[0]
+            greedy_decode_batch(params, config, [src], vocab, DecodeConfig())[0]
 
 
 def test_beam_single_step_equals_exhaustive():

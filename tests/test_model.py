@@ -1,6 +1,7 @@
 """Model architecture: attention, conv sub-block, stacks, and extraction."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -36,9 +37,10 @@ def test_config_defaults_resolve():
 def test_config_round_trips_through_dict():
     cfg = ModelConfig(vocab_size=9, d_model=32, n_layers=2, n_heads=4,
                       encoder_kind="conv", max_len=100)
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert ModelConfig(**asdict(cfg)) == cfg
 
 
+@pytest.mark.invariant
 def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(vocab_size=10, d_model=30, n_heads=4)
@@ -53,6 +55,10 @@ def test_config_validation():
     with pytest.raises(ValueError) as err:
         ModelConfig(vocab_size=10, d_model=8, n_heads=2, encoder_kind="conv", conv_windows=())
     assert "conv_windows" in str(err.value)
+    for field, value in (("d_model", 0), ("d_model", -2), ("d_ff", -1), ("d_model", "64")):
+        with pytest.raises(ValueError) as err:
+            ModelConfig(vocab_size=10, n_heads=1, **{field: value})
+        assert str(err.value).startswith(f"{field} must be an integer")
 
 
 # ---------------------------------------------------------------------------
@@ -60,22 +66,22 @@ def test_config_validation():
 # ---------------------------------------------------------------------------
 
 def test_positions_start_row_alternates_zero_one():
-    pos = sinusoidal_positions(8, 6).data
+    pos = sinusoidal_positions(8, 6)
     assert np.allclose(pos[0], [0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
 
 
 def test_positions_bounded():
-    pos = sinusoidal_positions(64, 16).data
+    pos = sinusoidal_positions(64, 16)
     assert pos.max() <= 1.0 and pos.min() >= -1.0
 
 
 def test_positions_first_dim_is_plain_sine():
-    pos = sinusoidal_positions(4, 4).data
+    pos = sinusoidal_positions(4, 4)
     assert abs(pos[1, 0] - math.sin(1.0)) < 1e-12
 
 
 def test_positions_match_closed_form():
-    assert np.allclose(sinusoidal_positions(20, 10).data,
+    assert np.allclose(sinusoidal_positions(20, 10),
                        positions_closed_form(20, 10), atol=1e-12)
 
 

@@ -58,7 +58,7 @@ def test_cross_entropy_all_pad_is_error():
     with pytest.raises(MaskError):
         masked_cross_entropy(Tensor(np.zeros((1, 2, 4))),
                              np.zeros((1, 2), dtype=np.int64),
-                             np.zeros((1, 2), dtype=bool))
+                             np.zeros((1, 2), dtype=bool), smoothing=0.1)
 
 
 def test_cross_entropy_gradient():
@@ -203,6 +203,15 @@ def test_clip_grad_norm_leaves_small_gradients_alone():
     params["a"].grad[:] = [0.3, 0.4]
     clip_grad_norm(params, max_norm=1.0)
     assert np.allclose(params["a"].grad, [0.3, 0.4])
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("clip_norm", [-1.0, 0.0, float("nan"), float("inf")])
+def test_train_config_rejects_bad_clip_norm(clip_norm):
+    """A negative norm would scale every gradient by a negative factor and
+    turn training into gradient ascent."""
+    with pytest.raises(ValueError, match="clip_norm"):
+        TrainConfig(clip_norm=clip_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +446,36 @@ def test_checkpoint_rejects_damaged_adam_moment(tmp_path, moment, damage):
     with pytest.raises(ValueError) as err:
         checkpoint_load(path)
     assert key in str(err.value)
+
+
+def _rewrite_header(path, change):
+    """Pass a checkpoint's JSON header through ``change`` and write it back."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<I", raw[5:9])
+    header = json.loads(raw[9:9 + header_len])
+    change(header)
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:5] + struct.pack("<I", len(new)) + new + raw[9 + header_len:])
+
+
+_HEADER_DAMAGES = {
+    "unknown-config-key": (lambda h: h["config"].update(extra=1), "'extra'"),
+    "string-d-model": (lambda h: h["config"].update(d_model=str(h["config"]["d_model"])),
+                       "d_model must be an integer"),
+    "no-config": (lambda h: h.pop("config"), "no 'config'"),
+    "no-adam": (lambda h: h.pop("adam"), "no 'adam'"),
+}
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("damage", sorted(_HEADER_DAMAGES))
+def test_checkpoint_rejects_damaged_header(tmp_path, damage):
+    change, fragment = _HEADER_DAMAGES[damage]
+    *_, path = _ckpt_fixture(tmp_path)
+    _rewrite_header(path, change)
+    with pytest.raises(ValueError) as err:
+        checkpoint_load(path)
+    assert str(err.value).startswith(f"{path}: ") and fragment in str(err.value)
 
 
 @pytest.mark.invariant
