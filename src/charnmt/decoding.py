@@ -1,5 +1,8 @@
 """Decoding: one batched beam search; greedy is beam width 1.
 
+Each step runs the decoder on the new position only: a ``DecoderState``
+keeps every layer's keys and values of the positions before it, and the
+cross-attention keys and values of each source row, projected once.
 The search is deterministic: hypotheses are ranked by (score desc, ids
 asc), so equal scores resolve lexicographically and a greedy step's ties
 go to the lowest token id. A hard length cap guarantees termination on
@@ -24,6 +27,7 @@ from .data import (
     encode_pair,
 )
 from .model import (
+    DecoderState,
     ModelConfig,
     decoder_forward,
     encoder_forward,
@@ -62,11 +66,14 @@ def _search(params: ParameterSet, config: ModelConfig, srcs: list[str],
             vocab: Vocabulary, cfg: DecodeConfig, width: int) -> list[str]:
     """Beam search of width ``width`` over a batch of sources.
 
-    A hypothesis is (-score, ids, logP, finished), so tuple order is the
-    ranking. Every step runs the decoder on the live hypotheses of the
-    rows still searching; a row leaves once all of its kept hypotheses
-    have emitted EOS or reached its cap. Finished hypotheses keep
-    competing for beam slots with frozen scores.
+    A hypothesis is (-score, ids, logP, finished, parent), so tuple order
+    is the ranking (ids are distinct within a row, so ``parent`` never
+    decides it). Every step runs the decoder on the last token of each
+    live hypothesis of the rows still searching, after reordering the
+    decoder state so that each continues its parent's keys and values; a
+    row leaves once all of its kept hypotheses have emitted EOS or reached
+    its cap. Finished hypotheses keep competing for beam slots with frozen
+    scores.
     """
     if not srcs:
         return []
@@ -74,17 +81,19 @@ def _search(params: ParameterSet, config: ModelConfig, srcs: list[str],
     caps = [_length_cap(len(r[0]), cfg, config) for r in rows]
     src_batch = batch_from_rows(rows)
     src, src_mask = src_batch.src_ids, src_batch.src_mask
-    beams = [[(0.0, (), 0.0, False)] for _ in rows]
+    # the last field is the hypothesis's row in the previous decoder call
+    beams = [[(0.0, (), 0.0, False, r)] for r in range(len(rows))]
     with no_grad():
-        enc_out = encoder_forward(src_batch, params, config).data
+        state = DecoderState(encoder_forward(src_batch, params, config), params, config)
         for step in itertools.count(1):
             live = [(r, h) for r, beam in enumerate(beams) for h in beam if not h[3]]
             if not live:
                 break
             owner = np.asarray([r for r, _ in live])
-            tgt_in = np.asarray([(BOS_ID,) + h[1] for _, h in live], dtype=np.int64)
+            state.reorder(owner, np.asarray([h[4] for _, h in live]))
+            tgt_in = np.asarray([h[1][-1:] or (BOS_ID,) for _, h in live], dtype=np.int64)
             logits, _ = decoder_forward(_gen_batch(src[owner], src_mask[owner], tgt_in),
-                                        Tensor(enc_out[owner]), params, config)
+                                        None, params, config, state=state)
             logp_tok = log_softmax_lastdim(Tensor(logits.data[:, -1, :])).data
             # every live hypothesis has step - 1 ids, so its expansions all have step
             logp = np.asarray([h[2] for _, h in live])[:, None] + logp_tok
@@ -95,10 +104,10 @@ def _search(params: ParameterSet, config: ModelConfig, srcs: list[str],
             kth = np.take_along_axis(neg_score, top, axis=1)
             cands = {r: [h for h in beams[r] if h[3]] for r in set(owner.tolist())}
             for j, tok in zip(*np.nonzero(neg_score <= kth)):
-                r, (_, ids, _, _) = live[j]
+                r, (_, ids, _, _, _) = live[j]
                 tok = int(tok)
                 cands[r].append((float(neg_score[j, tok]), ids + (tok,), float(logp[j, tok]),
-                                 tok == EOS_ID or step >= caps[r]))
+                                 tok == EOS_ID or step >= caps[r], int(j)))
             for r, cand in cands.items():
                 beams[r] = sorted(cand)[:width]
     return [decode(beam[0][1], vocab) for beam in beams]

@@ -14,6 +14,7 @@ activations are [B, T, d_model] tensors; the single-sentence case is B=1.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import numbers
@@ -42,6 +43,21 @@ from .tensor import (
 
 ENCODER_KINDS = ("standard", "conv")
 
+# what a config field declared with each scalar type accepts, and its name in errors
+_FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
+                "str": (str, "a string")}
+
+
+def check_field_types(config) -> None:
+    """Reject the first field of a config dataclass whose value is not of its
+    declared scalar type (an integer is a number; a bool is neither), naming
+    the field, so a run config with ``"epochs": "2"`` fails before any work."""
+    for f in dataclasses.fields(config):
+        kind = _FIELD_KINDS.get(f.type)
+        value = getattr(config, f.name)
+        if kind is not None and (isinstance(value, bool) or not isinstance(value, kind[0])):
+            raise ValueError(f"{f.name} must be {kind[1]}, got {value!r}")
+
 
 @dataclass
 class ModelConfig:
@@ -59,13 +75,18 @@ class ModelConfig:
     max_len: int = 512
 
     def __post_init__(self):
+        check_field_types(self)
         for name, least in (("vocab_size", 1), ("d_model", 1), ("n_layers", 1), ("n_heads", 1),
                             ("d_ff", 0), ("fuse_window", 1), ("max_len", 1)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < least:
+            if value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.d_ff == 0:
             self.d_ff = 4 * self.d_model
+        if (not isinstance(self.conv_windows, (list, tuple))
+                or not all(isinstance(w, numbers.Integral) and not isinstance(w, bool)
+                           for w in self.conv_windows)):
+            raise ValueError(f"conv_windows must be a list of integers, got {self.conv_windows!r}")
         self.conv_windows = tuple(sorted(int(w) for w in self.conv_windows))
         if self.encoder_kind not in ENCODER_KINDS:
             raise ValueError(f"encoder_kind must be one of {ENCODER_KINDS}")
@@ -201,12 +222,30 @@ def _linear(x: Tensor, params: ParameterSet, prefix: str) -> Tensor:
 
 def _split_heads(x: Tensor, n_heads: int) -> Tensor:
     b, t, d = x.shape
+    if d % n_heads != 0:
+        raise ShapeError(f"d_model {d} not divisible by n_heads {n_heads}")
     return transpose(reshape(x, (b, t, n_heads, d // n_heads)), (0, 2, 1, 3))
 
 
 def _merge_heads(x: Tensor) -> Tensor:
     b, h, t, dk = x.shape
     return reshape(transpose(x, (0, 2, 1, 3)), (b, t, h * dk))
+
+
+def _keys_values(x_kv: Tensor, params: ParameterSet, prefix: str,
+                 n_heads: int) -> tuple[Tensor, Tensor]:
+    """Project ``x_kv`` [B, T_k, d_model] to per-head keys and values [B, n_heads, T_k, d_k]."""
+    return (_split_heads(_linear(x_kv, params, f"{prefix}.k_proj"), n_heads),
+            _split_heads(_linear(x_kv, params, f"{prefix}.v_proj"), n_heads))
+
+
+def _attend(x_q: Tensor, kv: tuple[Tensor, Tensor], params: ParameterSet, prefix: str,
+            n_heads: int, mask: np.ndarray | None) -> tuple[Tensor, Tensor]:
+    """Attention of the projected queries of ``x_q`` over per-head keys and values."""
+    q = _split_heads(_linear(x_q, params, f"{prefix}.q_proj"), n_heads)
+    ctx, attn = scaled_dot_attention(q, *kv, mask)
+    out = _linear(_merge_heads(ctx), params, f"{prefix}.out_proj")
+    return out, attn
 
 
 def multi_head_attention(x_q: Tensor, x_kv: Tensor, params: ParameterSet, prefix: str,
@@ -219,15 +258,8 @@ def multi_head_attention(x_q: Tensor, x_kv: Tensor, params: ParameterSet, prefix
     [B, T_q, d_model] and the per-head attention matrices
     [B, n_heads, T_q, T_k].
     """
-    d = x_q.shape[-1]
-    if d % n_heads != 0:
-        raise ShapeError(f"d_model {d} not divisible by n_heads {n_heads}")
-    q = _split_heads(_linear(x_q, params, f"{prefix}.q_proj"), n_heads)
-    k = _split_heads(_linear(x_kv, params, f"{prefix}.k_proj"), n_heads)
-    v = _split_heads(_linear(x_kv, params, f"{prefix}.v_proj"), n_heads)
-    ctx, attn = scaled_dot_attention(q, k, v, mask)
-    out = _linear(_merge_heads(ctx), params, f"{prefix}.out_proj")
-    return out, attn
+    return _attend(x_q, _keys_values(x_kv, params, prefix, n_heads), params, prefix,
+                   n_heads, mask)
 
 
 def conv_sub_block(m: Tensor, params: ParameterSet, prefix: str, windows: tuple[int, ...],
@@ -267,12 +299,12 @@ def _sublayer(x: Tensor, sub_out: Tensor, params: ParameterSet, norm_prefix: str
 
 
 def _embed(ids: np.ndarray, params: ParameterSet, which: str, config: ModelConfig,
-           rng: np.random.Generator | None) -> Tensor:
-    t = ids.shape[-1]
+           rng: np.random.Generator | None, start: int = 0) -> Tensor:
+    t = start + ids.shape[-1]
     if t > config.max_len:
         raise ShapeError(f"sequence length {t} exceeds max_len {config.max_len}")
     x = embedding(params[f"{which}.weight"], ids) * math.sqrt(config.d_model)
-    x = x + Tensor(sinusoidal_positions(config.max_len, config.d_model)[:t])
+    x = x + Tensor(sinusoidal_positions(config.max_len, config.d_model)[start:t])
     if rng is not None:
         x = dropout(x, config.dropout, rng)
     return x
@@ -308,36 +340,90 @@ def encoder_forward(batch, params: ParameterSet, config: ModelConfig,
     return x
 
 
-def _causal_mask(t: int) -> np.ndarray:
-    return np.tril(np.ones((t, t), dtype=bool))
+class DecoderState:
+    """What the decoder keeps between calls when it runs a few positions at a time.
+
+    ``memory`` holds each layer's cross-attention keys and values, projected
+    once per source row from the encoder output. ``past`` holds each layer's
+    self-attention keys and values of the ``length`` positions run so far,
+    one row per row of the last call, and ``key_mask`` their target masks.
+    ``reorder`` picks, before a call, the source row and the past of each of
+    its rows; without it, row i continues row i. Reordering copies, so it cuts
+    any tape through the past.
+    """
+
+    def __init__(self, enc_out: Tensor, params: ParameterSet, config: ModelConfig):
+        self.memory = [_keys_values(enc_out, params, f"dec.{i}.cross_attn", config.n_heads)
+                       for i in range(config.n_layers)]
+        self.cross = self.memory
+        self.past: list[tuple[Tensor, Tensor] | None] = [None] * config.n_layers
+        self.key_mask = np.zeros((enc_out.shape[0], 0), dtype=bool)
+        self.length = 0
+
+    def reorder(self, rows: np.ndarray, parents: np.ndarray) -> None:
+        """Row j of the next call decodes source row ``rows[j]`` and continues
+        row ``parents[j]`` of the last call."""
+        self.cross = [(Tensor(k.data[rows]), Tensor(v.data[rows])) for k, v in self.memory]
+        self.past = [None if kv is None else (Tensor(kv[0].data[parents]),
+                                              Tensor(kv[1].data[parents]))
+                     for kv in self.past]
+        self.key_mask = self.key_mask[parents]
+
+    def _extend(self, layer: int, kv: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
+        past = self.past[layer]
+        if past is not None:
+            kv = (concat([past[0], kv[0]], axis=2), concat([past[1], kv[1]], axis=2))
+        self.past[layer] = kv
+        return kv
 
 
-def decoder_forward(batch, enc_out: Tensor, params: ParameterSet, config: ModelConfig,
-                    rng: np.random.Generator | None = None) -> tuple[Tensor, list[Tensor]]:
+def decoder_forward(batch, enc_out: Tensor | None, params: ParameterSet, config: ModelConfig,
+                    rng: np.random.Generator | None = None, state: DecoderState | None = None
+                    ) -> tuple[Tensor, list[Tensor]]:
     """Run the decoder over ``batch.tgt_in_ids`` against encoder output.
 
     Decoder self-attention is causally masked (position t sees only <= t)
     and also hides target pad keys; cross-attention hides source pad keys.
     Returns logits [B, T_t, vocab] and the per-layer cross-attention
     tensors [B, n_heads, T_t, T_s].
+
+    With no ``state``, the batch holds whole target prefixes, run at once.
+    With a state, it holds only the next positions, numbered from
+    ``state.length``: each layer attends over the keys and values the state
+    holds plus its own and appends its own to the state, and cross-attention
+    reads the state's projection of the encoder output, so ``enc_out`` is
+    not read.
     """
     ids = batch.tgt_in_ids
     if int(ids.max()) >= config.vocab_size:
         raise ShapeError("target id out of vocabulary range")
+    start = 0 if state is None else state.length
     t = ids.shape[1]
-    x = _embed(ids, params, "tgt_embed", config, rng)
-    self_mask = _causal_mask(t)[None, None, :, :] & batch.tgt_mask[:, None, None, :]
+    x = _embed(ids, params, "tgt_embed", config, rng, start)
+    key_mask = batch.tgt_mask
+    if state is not None:
+        key_mask = state.key_mask = np.concatenate([state.key_mask, key_mask], axis=1)
+    self_mask = (np.tri(t, start + t, start, dtype=bool)[None, None, :, :]
+                 & key_mask[:, None, None, :])
     cross_mask = batch.src_mask[:, None, None, :]
     cross_maps: list[Tensor] = []
     for i in range(config.n_layers):
-        a, _ = multi_head_attention(x, x, params, f"dec.{i}.self_attn", config.n_heads, self_mask)
+        prefix = f"dec.{i}.self_attn"
+        kv = _keys_values(x, params, prefix, config.n_heads)
+        if state is not None:
+            kv = state._extend(i, kv)
+        a, _ = _attend(x, kv, params, prefix, config.n_heads, self_mask)
         x = _sublayer(x, a, params, f"dec.{i}.self_norm", config, rng)
-        c, attn = multi_head_attention(x, enc_out, params, f"dec.{i}.cross_attn",
-                                       config.n_heads, cross_mask)
+        prefix = f"dec.{i}.cross_attn"
+        kv = (state.cross[i] if state is not None
+              else _keys_values(enc_out, params, prefix, config.n_heads))
+        c, attn = _attend(x, kv, params, prefix, config.n_heads, cross_mask)
         cross_maps.append(attn)
         x = _sublayer(x, c, params, f"dec.{i}.cross_norm", config, rng)
         f = _ffn(x, params, f"dec.{i}.ff")
         x = _sublayer(x, f, params, f"dec.{i}.ff_norm", config, rng)
+    if state is not None:
+        state.length += t
     logits = _linear(x, params, "out")
     return logits, cross_maps
 

@@ -5,8 +5,10 @@ broadcasting elementwise arithmetic, (batched) matmul, masked softmax and
 log-softmax over the last axis, layer normalization, same-padded 1D
 convolution, embedding lookup, dropout, shape ops, and reductions.
 Gradients accumulate with ``+=``; call ``ParameterSet.zero_grad`` between
-optimizer steps. Every op checks its output for NaN/Inf and raises instead of
-propagating silently.
+optimizer steps. Every op that can turn finite inputs into NaN/Inf checks its
+output and raises instead of propagating silently; ops that only move, select
+or clamp values do not, so a non-finite leaf is caught at the first arithmetic
+op that reads it.
 """
 
 from __future__ import annotations
@@ -49,10 +51,14 @@ def no_grad():
         _grad_enabled.reset(token)
 
 
+# ops whose output holds only input values (or zeros): finite in, finite out
+_PASS_THROUGH = frozenset({"reshape", "transpose", "concat", "embedding", "relu"})
+
+
 def _check_finite(op: str, arr: np.ndarray) -> None:
     # sum is NaN/Inf iff the array holds one (values here stay far below
     # overflow, so a finite array cannot overflow the sum)
-    if not math.isfinite(float(np.sum(arr))):
+    if not math.isfinite(float(arr.sum())):
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
 
 
@@ -161,7 +167,8 @@ def _as_tensor(x) -> Tensor:
 
 def _make(op: str, out: np.ndarray, inputs: tuple[Tensor, ...],
           backward: Callable[[np.ndarray], tuple]) -> Tensor:
-    _check_finite(op, out)
+    if op not in _PASS_THROUGH:
+        _check_finite(op, out)
     result = Tensor(out)
     if _grad_enabled.get() and any(t.requires_grad for t in inputs):
         result.requires_grad = True

@@ -20,7 +20,7 @@ import numpy as np
 from .bleu import DEFAULT_TOKENIZER, TOKENIZERS, corpus_bleu
 from .data import Batch, ParallelCorpus, Vocabulary, make_batches, write_lines
 from .decoding import DecodeConfig, greedy_decode_batch
-from .model import ModelConfig, model_forward, param_shapes
+from .model import ModelConfig, check_field_types, model_forward, param_shapes
 from .tensor import (
     MaskError,
     NonFiniteError,
@@ -69,11 +69,17 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-9  # the Transformer's Adam
 @dataclass
 class AdamState:
     """First and second moment estimates, flat in the layout of the
-    parameter arena (``ParameterSet.data``), plus the step counter."""
+    parameter arena (``ParameterSet.data``), plus the step counter.
+    ``scratch`` holds two arena-sized buffers that ``adam_step`` reuses
+    every step; they are not part of the state a checkpoint keeps."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def for_params(cls, params: ParameterSet) -> "AdamState":
@@ -97,7 +103,8 @@ def adam_step(params: ParameterSet, state: AdamState, lr: float) -> None:
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
     # in place, rounding as data -= lr * (m/c1) / (sqrt(v/c2) + eps) would
-    tmp = g * (1.0 - ADAM_BETA1)
+    tmp, step = state.scratch
+    np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
     state.m *= ADAM_BETA1
     state.m += tmp
     np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
@@ -107,7 +114,7 @@ def adam_step(params: ParameterSet, state: AdamState, lr: float) -> None:
     np.divide(state.v, c2, out=tmp)
     np.sqrt(tmp, out=tmp)
     tmp += ADAM_EPS
-    step = state.m / c1
+    np.divide(state.m, c1, out=step)
     step *= lr
     step /= tmp
     params.data -= step
@@ -151,6 +158,7 @@ class TrainConfig:
     early_stop_bleu: float = 0.0   # > 0: stop once every val set clears it
 
     def __post_init__(self):
+        check_field_types(self)
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.warmup < 1 or self.max_tokens < 1:
@@ -390,11 +398,18 @@ def checkpoint_save(params: ParameterSet, config: ModelConfig, vocab: Vocabulary
 
 def checkpoint_load(path) -> CheckpointBundle:
     """Restore a checkpoint_save file; rejects wrong magic or version, a
-    missing or invalid header field (naming the file and the field), and
-    shapes that disagree with the header's architecture."""
+    missing or invalid header field, a truncated or damaged body, and
+    shapes that disagree with the header's architecture, naming the file."""
+    try:
+        return _checkpoint_read(path)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
+def _checkpoint_read(path) -> CheckpointBundle:
     with open(path, "rb") as f:
         if _read_exact(f, 4) != CKPT_MAGIC:
-            raise ValueError(f"{path} is not a checkpoint file")
+            raise ValueError("not a checkpoint file")
         (version,) = struct.unpack("<B", _read_exact(f, 1))
         if version != CKPT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
@@ -404,11 +419,11 @@ def checkpoint_load(path) -> CheckpointBundle:
         records = dict(_read_record(f) for _ in range(n_records))
     for key in ("config", "vocab_chars", "step", "epoch", "adam"):
         if key not in header:
-            raise ValueError(f"{path}: checkpoint header has no '{key}'")
+            raise ValueError(f"checkpoint header has no '{key}'")
     try:
         config = ModelConfig(**header["config"])
     except (TypeError, ValueError) as e:
-        raise ValueError(f"{path}: bad model config in the checkpoint header: {e}") from None
+        raise ValueError(f"bad model config in the checkpoint header: {e}") from None
     vocab = Vocabulary(chars=tuple(header["vocab_chars"]))
     expected = param_shapes(config)
 

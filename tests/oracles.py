@@ -263,6 +263,57 @@ def exhaustive_best_sequence(params, config, src: str, vocab, length_penalty: fl
     return decode_ids(ids, vocab), best_logp
 
 
+def uncached_search(params, config, src: str, vocab, width: int, length_penalty: float):
+    """Beam search that re-runs the decoder over the whole prefix of every
+    live hypothesis at every step, under the package's rules: each live
+    hypothesis expands to every token, finished ones keep competing with
+    frozen scores, the kept ``width`` are the smallest (-logP / len^penalty,
+    ids), and the search ends once every kept hypothesis has emitted EOS or
+    reached the cap. Returns the best id sequence (EOS included) and the
+    number of steps that had several live hypotheses and after which the
+    i-th live hypothesis was not a child of the i-th one before."""
+    from charnmt.data import Batch, encode
+    from charnmt.model import decoder_forward, encoder_forward
+    from charnmt.tensor import Tensor, no_grad
+
+    src_ids = encode(src, vocab) + [EOS_ID]
+    cap = max(1, min(int(3.0 * len(src_ids)) + 10, config.max_len - 1))
+    src_row = np.asarray([src_ids], dtype=np.int64)
+    src_mask = np.ones((1, len(src_ids)), dtype=bool)
+
+    def gen_batch(tgt_in):
+        return Batch(np.repeat(src_row, len(tgt_in), axis=0), tgt_in, tgt_in,
+                     np.repeat(src_mask, len(tgt_in), axis=0),
+                     np.ones_like(tgt_in, dtype=bool))
+
+    beam = [(0.0, (), 0.0, False, None)]  # (-score, ids, logP, finished, parent)
+    reparented = 0
+    with no_grad():
+        enc = encoder_forward(gen_batch(np.full((1, 1), BOS_ID, dtype=np.int64)),
+                              params, config)
+        while True:
+            live = [h for h in beam if not h[3]]
+            if not live:
+                break
+            tgt_in = np.asarray([(BOS_ID,) + h[1] for h in live], dtype=np.int64)
+            enc_rep = Tensor(np.repeat(enc.data, len(live), axis=0))
+            logits, _ = decoder_forward(gen_batch(tgt_in), enc_rep, params, config)
+            last = logits.data[:, -1, :]
+            last = last - last.max(axis=-1, keepdims=True)
+            logp_tok = last - np.log(np.exp(last).sum(axis=-1, keepdims=True))
+            cands = [h for h in beam if h[3]]
+            for row, (_, ids, logp, _, _) in enumerate(live):
+                for tok in range(config.vocab_size):
+                    seq = ids + (tok,)
+                    seq_logp = logp + float(logp_tok[row, tok])
+                    cands.append((-(seq_logp / len(seq) ** length_penalty), seq, seq_logp,
+                                   tok == EOS_ID or len(seq) >= cap, row))
+            beam = sorted(cands, key=lambda h: (h[0], h[1]))[:width]
+            parents = [h[4] for h in beam if not h[3]]
+            reparented += len(live) > 1 and parents != list(range(len(parents)))
+    return beam[0][1], reparented
+
+
 # ---------------------------------------------------------------------------
 # BLEU
 # ---------------------------------------------------------------------------

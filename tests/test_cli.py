@@ -237,6 +237,23 @@ def test_train_corpus_lang_is_an_unknown_key(corpus_files, tmp_path, capsys):
     assert capsys.readouterr().err == "error: unknown config keys: data.corpora[0].lang\n"
 
 
+@pytest.mark.invariant
+@pytest.mark.parametrize("section, key, value, kind", [
+    ("train", "epochs", "2", "an integer"),
+    ("model", "dropout", "0.1", "a number"),
+    ("train", "early_stop_bleu", "5", "a number"),
+])
+def test_train_config_value_of_wrong_type_fails_before_training(corpus_files, tmp_path, capsys,
+                                                                section, key, value, kind):
+    cfg = _tiny_config(*corpus_files, epochs=1)
+    cfg[section][key] = value
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(_write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {key} must be {kind}, got '{value}'\n"
+    assert not (out / "latest.ckpt").exists()
+
+
 def test_train_corpus_entry_without_src_fails(corpus_files, tmp_path, capsys):
     _, tgt = corpus_files
     cfg = _tiny_config(tmp_path / "unused.src", tgt)
@@ -436,6 +453,17 @@ def test_translate_missing_checkpoint(tmp_path, capsys):
                  "--in", str(tmp_path / "no.txt"), "--out", str(tmp_path / "o.txt")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_translate_truncated_checkpoint_names_it(tmp_path, capsys):
+    path, *_ = _tiny_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes()[:5000])
+    src = tmp_path / "in.txt"
+    src.write_text("ab\n")
+    code = main(["translate", "--ckpt", str(path), "--in", str(src),
+                 "--out", str(tmp_path / "o.txt")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}: truncated checkpoint\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
 """Greedy and beam decoding plus corpus BLEU."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import charnmt.decoding
 from charnmt.alignment import cross_attention_maps
 from charnmt.bleu import corpus_bleu
-from charnmt.data import EOS_ID, ParallelCorpus, build_vocab
+from charnmt.data import BOS_ID, EOS_ID, ParallelCorpus, build_vocab, read_lines
 from charnmt.decoding import DecodeConfig, beam_decode, greedy_decode_batch
 from charnmt.model import ModelConfig, build_params
-from oracles import brute_bleu, exhaustive_best_sequence
+from charnmt.tensor import NonFiniteError
+from charnmt.training import checkpoint_load
+from oracles import brute_bleu, exhaustive_best_sequence, uncached_search
 
 from conftest import rand_rng
 
@@ -154,6 +159,57 @@ def test_beam_deterministic():
     cfg = DecodeConfig(beam_size=4)
     assert beam_decode(params, config, "abcd", vocab, cfg) == \
         beam_decode(params, config, "abcd", vocab, cfg)
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("width", [1, 2, 4])
+@pytest.mark.parametrize("length_penalty", [0.0, 1.0])
+def test_cached_search_emits_the_uncached_tokens(monkeypatch, width, length_penalty):
+    """The search through the decoder state emits, token for token, what a
+    search that re-runs every prefix emits; the wider beams include steps
+    whose hypotheses continue another slot's hypothesis."""
+    monkeypatch.setattr(charnmt.decoding, "decode", lambda ids, vocab: tuple(ids))
+    cfg = DecodeConfig(beam_size=width, length_penalty=length_penalty)
+    srcs = ["a", "abcd", "dcab", "bb"]
+    reparented = 0
+    for seed in (40, 50, 51, 53):
+        params, config, vocab = _toy_model(seed=seed, n_layers=2, max_len=20)
+        got = ([beam_decode(params, config, src, vocab, cfg) for src in srcs] if width > 1
+               else greedy_decode_batch(params, config, srcs, vocab, cfg))
+        for src, ids in zip(srcs, got):
+            want, moved = uncached_search(params, config, src, vocab, width, length_penalty)
+            assert ids == want, (seed, src)
+            reparented += moved
+    assert reparented > 0 or width == 1
+
+
+FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixture"
+
+
+@pytest.mark.invariant
+def test_greedy_reproduces_fixture_hypotheses():
+    bundle = checkpoint_load(FIXTURE / "standard.ckpt")
+    hyps = greedy_decode_batch(bundle.params, bundle.config, read_lines(FIXTURE / "val.src"),
+                               bundle.vocab, DecodeConfig())
+    assert hyps == read_lines(FIXTURE / "greedy.hyp")
+
+
+def test_beam_reproduces_fixture_hypotheses():
+    bundle = checkpoint_load(FIXTURE / "standard.ckpt")
+    cfg = DecodeConfig(beam_size=4)
+    hyps = [beam_decode(bundle.params, bundle.config, line, bundle.vocab, cfg)
+            for line in read_lines(FIXTURE / "val.src")]
+    assert hyps == read_lines(FIXTURE / "beam.hyp")
+
+
+@pytest.mark.invariant
+def test_nan_embedding_weight_stops_decoding():
+    """Embedding lookups skip the finite check; the scaling mul after it
+    catches a NaN row."""
+    params, config, vocab = _toy_model(seed=20)
+    params["tgt_embed.weight"].data[BOS_ID] = np.nan
+    with pytest.raises(NonFiniteError, match="'mul'"):
+        greedy_decode_batch(params, config, ["ab"], vocab, DecodeConfig())
 
 
 # ---------------------------------------------------------------------------

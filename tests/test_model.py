@@ -6,13 +6,13 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from charnmt.data import PAD_ID, Batch, batch_from_rows, encode_pair
-from charnmt.model import (ModelConfig, build_params, conv_sub_block,
+from charnmt.data import BOS_ID, PAD_ID, Batch, batch_from_rows, encode_pair
+from charnmt.model import (DecoderState, ModelConfig, build_params, conv_sub_block,
                            decoder_forward, encoder_forward,
                            extract_cross_attention, model_forward,
                            multi_head_attention, param_shapes,
                            scaled_dot_attention, sinusoidal_positions)
-from charnmt.tensor import ParameterSet, ShapeError, Tensor, grad_check, tsum
+from charnmt.tensor import ParameterSet, ShapeError, Tensor, grad_check, no_grad, tsum
 from oracles import (closed_form_param_count, positions_closed_form,
                      stable_softmax, straight_line_decoder,
                      straight_line_encoder)
@@ -264,6 +264,76 @@ def test_decoder_matches_straight_line_oracle(tiny_setup):
     ref, _ = straight_line_decoder(batch.tgt_in_ids[0], enc_ref,
                                    batch.src_mask[0], w, config)
     assert np.allclose(logits.data[0], ref, atol=1e-12)
+
+
+def _cache_model(tiny_vocab, kind, seed):
+    config = ModelConfig(vocab_size=tiny_vocab.size, d_model=16, n_layers=2, n_heads=2,
+                         d_ff=32, max_len=32, dropout=0.0, encoder_kind=kind)
+    return build_params(config, seed=seed), config
+
+
+def _columns(batch, start, stop):
+    return Batch(batch.src_ids, batch.tgt_in_ids[:, start:stop],
+                 batch.tgt_out_ids[:, start:stop], batch.src_mask,
+                 batch.tgt_mask[:, start:stop])
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("kind", ["standard", "conv"])
+def test_chunked_decoding_through_a_state_equals_one_call(tiny_vocab, kind):
+    """Teacher forcing a few positions at a time through a DecoderState gives
+    the logits and cross-attention of one call over all positions, pad
+    positions of padded source and target rows included."""
+    params, config = _cache_model(tiny_vocab, kind, seed=31)
+    batch = make_batch([("abcd", "dcbaab"), ("ab", "ba"), ("abc", "cabdd")], tiny_vocab)
+    assert not batch.src_mask.all() and not batch.tgt_mask.all()
+    full, full_cross = model_forward(batch, params, config)
+    state = DecoderState(encoder_forward(batch, params, config), params, config)
+    bounds = [0, 3, 4, batch.tgt_in_ids.shape[1]]
+    chunks = [decoder_forward(_columns(batch, a, b), None, params, config, state=state)
+              for a, b in zip(bounds, bounds[1:])]
+    assert state.length == bounds[-1]
+    logits = np.concatenate([c[0].data for c in chunks], axis=1)
+    assert np.allclose(logits, full.data, rtol=0.0, atol=1e-12)
+    for layer, want in enumerate(full_cross):
+        got = np.concatenate([c[1][layer].data for c in chunks], axis=2)
+        assert np.allclose(got, want.data, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("kind", ["standard", "conv"])
+def test_cached_steps_match_straight_line_decoder(tiny_vocab, kind):
+    """Each one-position step through a DecoderState gives the last-position
+    logits of the straight-line decoder over the whole prefix."""
+    params, config = _cache_model(tiny_vocab, kind, seed=32)
+    batch = make_batch([("abcd", "a"), ("ba", "a")], tiny_vocab)
+    w = weights_of(params)
+    enc_ref = [straight_line_encoder(batch.src_ids[r], batch.src_mask[r], w, config)
+               for r in range(2)]
+    rng = rand_rng(33)
+    prefixes = np.full((2, 1), BOS_ID, dtype=np.int64)
+    with no_grad():
+        state = DecoderState(encoder_forward(batch, params, config), params, config)
+        for _ in range(12):
+            step = prefixes[:, -1:]
+            logits, _ = decoder_forward(Batch(batch.src_ids, step, step, batch.src_mask,
+                                              np.ones_like(step, dtype=bool)),
+                                        None, params, config, state=state)
+            for r in range(2):
+                ref, _ = straight_line_decoder(prefixes[r], enc_ref[r], batch.src_mask[r],
+                                               w, config)
+                assert np.allclose(logits.data[r, 0], ref[-1], rtol=0.0, atol=1e-12)
+            prefixes = np.concatenate(
+                [prefixes, rng.integers(0, config.vocab_size, size=(2, 1))], axis=1)
+
+
+def test_decoder_state_rejects_positions_past_max_len(tiny_vocab):
+    params, config = _cache_model(tiny_vocab, "standard", seed=34)
+    batch = make_batch([("ab", "ab")], tiny_vocab)
+    state = DecoderState(encoder_forward(batch, params, config), params, config)
+    state.length = config.max_len
+    with pytest.raises(ShapeError):
+        decoder_forward(_columns(batch, 0, 1), None, params, config, state=state)
 
 
 def test_encoder_rejects_overlong_sequence(tiny_vocab):

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from charnmt.data import ParallelCorpus, batch_from_rows, build_vocab, encode_pair
+from charnmt.data import BOS_ID, ParallelCorpus, batch_from_rows, build_vocab, encode_pair
 from charnmt.model import ModelConfig, build_params, model_forward
 from charnmt.tensor import MaskError, NonFiniteError, ParameterSet, Tensor, mul, tsum
 import charnmt.training
@@ -151,6 +151,20 @@ def test_clip_and_adam_match_per_name_oracle():
             assert np.array_equal(flat_m[name], m[name]), (step, name)
             assert np.array_equal(flat_v[name], v[name]), (step, name)
     assert min(norms) < 1.0 < max(norms)
+
+
+@pytest.mark.invariant
+def test_nan_embedding_weight_stops_a_training_step(tiny_setup):
+    """Embedding lookups skip the finite check; the scaling mul after it
+    catches a NaN row before any parameter moves."""
+    params, config, vocab = tiny_setup
+    params["tgt_embed.weight"].data[BOS_ID] = np.nan
+    before = params.data.copy()
+    with pytest.raises(RuntimeError, match="'mul'") as err:
+        train(params, config, TrainConfig(epochs=1, max_tokens=64, warmup=10),
+              ParallelCorpus(pairs=[("abcd", "dcba")]), vocab)
+    assert isinstance(err.value.__cause__, NonFiniteError)
+    assert np.array_equal(params.data, before, equal_nan=True)
 
 
 def test_adam_names_first_non_finite_parameter():
