@@ -121,6 +121,7 @@ def cmd_build_vocab(args) -> None:
 
 def cmd_train(args) -> None:
     cfg = resolve_run_config(json.loads(Path(args.config).read_text(encoding="utf-8")))
+    train_cfg = TrainConfig(**cfg["train"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "resolved_config.json").write_text(
@@ -136,7 +137,6 @@ def cmd_train(args) -> None:
     if not corpora:
         raise ValueError("data.corpora is empty; nothing to train on")
     vals = [_load_entry(e, table) for e in data["val"]]
-    train_cfg = TrainConfig(**cfg["train"])
     vocab = (Vocabulary.load(data["vocab"]) if data["vocab"]
              else build_vocab(corpora, data["min_count"]))
     vocab.save(out / "vocab.txt")

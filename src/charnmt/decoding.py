@@ -93,7 +93,7 @@ def _search(params: ParameterSet, config: ModelConfig, srcs: list[str],
             state.reorder(owner, np.asarray([h[4] for _, h in live]))
             tgt_in = np.asarray([h[1][-1:] or (BOS_ID,) for _, h in live], dtype=np.int64)
             logits, _ = decoder_forward(_gen_batch(src[owner], src_mask[owner], tgt_in),
-                                        None, params, config, state=state)
+                                        state, params, config)
             logp_tok = log_softmax_lastdim(Tensor(logits.data[:, -1, :])).data
             # every live hypothesis has step - 1 ids, so its expansions all have step
             logp = np.asarray([h[2] for _, h in live])[:, None] + logp_tok

@@ -341,15 +341,15 @@ def encoder_forward(batch, params: ParameterSet, config: ModelConfig,
 
 
 class DecoderState:
-    """What the decoder keeps between calls when it runs a few positions at a time.
+    """The keys and values the decoder attends over, beside its new positions' own.
 
     ``memory`` holds each layer's cross-attention keys and values, projected
     once per source row from the encoder output. ``past`` holds each layer's
     self-attention keys and values of the ``length`` positions run so far,
-    one row per row of the last call, and ``key_mask`` their target masks.
-    ``reorder`` picks, before a call, the source row and the past of each of
-    its rows; without it, row i continues row i. Reordering copies, so it cuts
-    any tape through the past.
+    one row per row of the last call, and ``key_mask`` their target masks;
+    a fresh state has none. ``reorder`` picks, before a call, the source row
+    and the past of each of its rows; without it, row i continues row i.
+    Reordering copies, so it cuts any tape through the past.
     """
 
     def __init__(self, enc_out: Tensor, params: ParameterSet, config: ModelConfig):
@@ -377,63 +377,51 @@ class DecoderState:
         return kv
 
 
-def decoder_forward(batch, enc_out: Tensor | None, params: ParameterSet, config: ModelConfig,
-                    rng: np.random.Generator | None = None, state: DecoderState | None = None
-                    ) -> tuple[Tensor, list[Tensor]]:
-    """Run the decoder over ``batch.tgt_in_ids`` against encoder output.
+def decoder_forward(batch, state: DecoderState, params: ParameterSet, config: ModelConfig,
+                    rng: np.random.Generator | None = None) -> tuple[Tensor, list[Tensor]]:
+    """Run the decoder over ``batch.tgt_in_ids``, the positions that follow
+    the ``state.length`` positions ``state`` already holds.
 
-    Decoder self-attention is causally masked (position t sees only <= t)
-    and also hides target pad keys; cross-attention hides source pad keys.
-    Returns logits [B, T_t, vocab] and the per-layer cross-attention
-    tensors [B, n_heads, T_t, T_s].
-
-    With no ``state``, the batch holds whole target prefixes, run at once.
-    With a state, it holds only the next positions, numbered from
-    ``state.length``: each layer attends over the keys and values the state
-    holds plus its own and appends its own to the state, and cross-attention
-    reads the state's projection of the encoder output, so ``enc_out`` is
-    not read.
+    Each layer appends its self-attention keys and values, and the batch's
+    target mask, to the state and attends causally over all of them (a
+    position sees only itself and those before it; target pad keys are
+    hidden). Cross-attention reads the state's keys and values of the
+    encoder output and hides source pad keys. Teacher forcing is one call
+    on a fresh state. Returns logits [B, T_t, vocab] and the per-layer
+    cross-attention tensors [B, n_heads, T_t, T_s].
     """
     ids = batch.tgt_in_ids
     if int(ids.max()) >= config.vocab_size:
         raise ShapeError("target id out of vocabulary range")
-    start = 0 if state is None else state.length
-    t = ids.shape[1]
+    start, t = state.length, ids.shape[1]
     x = _embed(ids, params, "tgt_embed", config, rng, start)
-    key_mask = batch.tgt_mask
-    if state is not None:
-        key_mask = state.key_mask = np.concatenate([state.key_mask, key_mask], axis=1)
+    state.key_mask = np.concatenate([state.key_mask, batch.tgt_mask], axis=1)
     self_mask = (np.tri(t, start + t, start, dtype=bool)[None, None, :, :]
-                 & key_mask[:, None, None, :])
-    cross_mask = batch.src_mask[:, None, None, :]
+                 & state.key_mask[:, None, None, :])
     cross_maps: list[Tensor] = []
     for i in range(config.n_layers):
         prefix = f"dec.{i}.self_attn"
-        kv = _keys_values(x, params, prefix, config.n_heads)
-        if state is not None:
-            kv = state._extend(i, kv)
+        kv = state._extend(i, _keys_values(x, params, prefix, config.n_heads))
         a, _ = _attend(x, kv, params, prefix, config.n_heads, self_mask)
         x = _sublayer(x, a, params, f"dec.{i}.self_norm", config, rng)
-        prefix = f"dec.{i}.cross_attn"
-        kv = (state.cross[i] if state is not None
-              else _keys_values(enc_out, params, prefix, config.n_heads))
-        c, attn = _attend(x, kv, params, prefix, config.n_heads, cross_mask)
+        c, attn = _attend(x, state.cross[i], params, f"dec.{i}.cross_attn", config.n_heads,
+                          batch.src_mask[:, None, None, :])
         cross_maps.append(attn)
         x = _sublayer(x, c, params, f"dec.{i}.cross_norm", config, rng)
         f = _ffn(x, params, f"dec.{i}.ff")
         x = _sublayer(x, f, params, f"dec.{i}.ff_norm", config, rng)
-    if state is not None:
-        state.length += t
+    state.length += t
     logits = _linear(x, params, "out")
     return logits, cross_maps
 
 
 def model_forward(batch, params: ParameterSet, config: ModelConfig,
                   rng: np.random.Generator | None = None) -> tuple[Tensor, list[Tensor]]:
-    """Teacher-forced forward pass: encoder, then decoder on the BOS-shifted
-    target. Returns decoder logits and per-layer cross-attention."""
-    enc_out = encoder_forward(batch, params, config, rng)
-    return decoder_forward(batch, enc_out, params, config, rng)
+    """Teacher-forced forward pass: encoder, then one decoder call over the
+    BOS-shifted target on a fresh state. Returns decoder logits and per-layer
+    cross-attention."""
+    state = DecoderState(encoder_forward(batch, params, config, rng), params, config)
+    return decoder_forward(batch, state, params, config, rng)
 
 
 def extract_cross_attention(batch, params: ParameterSet, config: ModelConfig

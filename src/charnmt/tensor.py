@@ -372,21 +372,18 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     out = np.transpose(x.data, axes)
-    inverse = tuple(np.argsort(axes))
 
     def backward(g):
-        return (np.transpose(g, inverse),)
+        return (np.transpose(g, np.argsort(axes)),)
 
     return _make("transpose", out, (x,), backward)
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
 
     def backward(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(np.split(g, np.cumsum([t.shape[axis] for t in tensors])[:-1], axis=axis))
 
     return _make("concat", out, tuple(tensors), backward)
 

@@ -159,14 +159,16 @@ class TrainConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.warmup < 1 or self.max_tokens < 1:
-            raise ValueError("warmup and max_tokens must be >= 1")
+        for name, least in (("epochs", 0), ("seed", 0), ("warmup", 1), ("max_tokens", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value!r}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError("label_smoothing must be in [0, 1)")
         if not 0.0 < self.clip_norm < np.inf:
             raise ValueError(f"clip_norm must be finite and positive, got {self.clip_norm}")
+        if not 0.0 <= self.early_stop_bleu <= 100.0:
+            raise ValueError(f"early_stop_bleu must be in [0, 100], got {self.early_stop_bleu}")
         if self.bleu_mode not in TOKENIZERS:
             raise ValueError(f"bleu_mode must be one of {TOKENIZERS}")
 
@@ -424,7 +426,19 @@ def _checkpoint_read(path) -> CheckpointBundle:
         config = ModelConfig(**header["config"])
     except (TypeError, ValueError) as e:
         raise ValueError(f"bad model config in the checkpoint header: {e}") from None
+    if not isinstance(header["vocab_chars"], str):
+        raise ValueError(f"checkpoint header 'vocab_chars' must be a string, "
+                         f"got {header['vocab_chars']!r}")
     vocab = Vocabulary(chars=tuple(header["vocab_chars"]))
+    adam_header = header["adam"]
+    if not (adam_header is None or isinstance(adam_header, dict) and "t" in adam_header):
+        raise ValueError(f"checkpoint header 'adam' must be null or an object with 't', "
+                         f"got {adam_header!r}")
+    counts = {"step": header["step"], "epoch": header["epoch"],
+              "adam.t": 0 if adam_header is None else adam_header["t"]}
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ValueError(f"checkpoint header '{name}' must be an integer >= 0, got {value!r}")
     expected = param_shapes(config)
 
     def record(kind: str, name: str) -> np.ndarray:
@@ -440,9 +454,9 @@ def _checkpoint_read(path) -> CheckpointBundle:
 
     params = ParameterSet({name: Tensor(record("param", name)) for name in expected})
     adam = None
-    if header["adam"] is not None:
+    if adam_header is not None:
         m, v = (np.concatenate([record(kind, n).reshape(-1) for n in params.names()])
                 for kind in ("adam.m", "adam.v"))
-        adam = AdamState(m=m, v=v, t=header["adam"]["t"])
+        adam = AdamState(m=m, v=v, t=adam_header["t"])
     return CheckpointBundle(params=params, config=config, vocab=vocab, adam=adam,
                             step=header["step"], epoch=header["epoch"])

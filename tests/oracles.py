@@ -215,7 +215,7 @@ def exhaustive_best_sequence(params, config, src: str, vocab, length_penalty: fl
     cap-terminated) and return the best one under the beam scoring rule:
     max logP / len^penalty, ties to the lexicographically smallest ids."""
     from charnmt.data import Batch, encode
-    from charnmt.model import decoder_forward, encoder_forward
+    from charnmt.model import DecoderState, decoder_forward, encoder_forward
     from charnmt.tensor import Tensor, no_grad
 
     src_ids = encode(src, vocab) + [EOS_ID]
@@ -236,7 +236,8 @@ def exhaustive_best_sequence(params, config, src: str, vocab, length_penalty: fl
         while frontier:
             tgt_in = np.asarray([(BOS_ID,) + ids for ids, _ in frontier], dtype=np.int64)
             enc_rep = Tensor(np.repeat(enc.data, len(frontier), axis=0))
-            logits, _ = decoder_forward(gen_batch(tgt_in), enc_rep, params, config)
+            state = DecoderState(enc_rep, params, config)  # fresh: the whole prefix runs
+            logits, _ = decoder_forward(gen_batch(tgt_in), state, params, config)
             last = logits.data[:, -1, :]
             last = last - last.max(axis=-1, keepdims=True)
             logp_tok = last - np.log(np.exp(last).sum(axis=-1, keepdims=True))
@@ -273,7 +274,7 @@ def uncached_search(params, config, src: str, vocab, width: int, length_penalty:
     number of steps that had several live hypotheses and after which the
     i-th live hypothesis was not a child of the i-th one before."""
     from charnmt.data import Batch, encode
-    from charnmt.model import decoder_forward, encoder_forward
+    from charnmt.model import DecoderState, decoder_forward, encoder_forward
     from charnmt.tensor import Tensor, no_grad
 
     src_ids = encode(src, vocab) + [EOS_ID]
@@ -297,7 +298,8 @@ def uncached_search(params, config, src: str, vocab, width: int, length_penalty:
                 break
             tgt_in = np.asarray([(BOS_ID,) + h[1] for h in live], dtype=np.int64)
             enc_rep = Tensor(np.repeat(enc.data, len(live), axis=0))
-            logits, _ = decoder_forward(gen_batch(tgt_in), enc_rep, params, config)
+            state = DecoderState(enc_rep, params, config)  # fresh: the whole prefix runs
+            logits, _ = decoder_forward(gen_batch(tgt_in), state, params, config)
             last = logits.data[:, -1, :]
             last = last - last.max(axis=-1, keepdims=True)
             logp_tok = last - np.log(np.exp(last).sum(axis=-1, keepdims=True))

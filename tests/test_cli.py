@@ -254,6 +254,17 @@ def test_train_config_value_of_wrong_type_fails_before_training(corpus_files, tm
     assert not (out / "latest.ckpt").exists()
 
 
+@pytest.mark.invariant
+def test_train_negative_seed_fails_before_writing_anything(corpus_files, tmp_path, capsys):
+    cfg = _tiny_config(*corpus_files, epochs=1)
+    cfg["train"]["seed"] = -1
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(_write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_train_corpus_entry_without_src_fails(corpus_files, tmp_path, capsys):
     _, tgt = corpus_files
     cfg = _tiny_config(tmp_path / "unused.src", tgt)

@@ -212,6 +212,20 @@ def test_nan_embedding_weight_stops_decoding():
         greedy_decode_batch(params, config, ["ab"], vocab, DecodeConfig())
 
 
+@pytest.mark.invariant
+def test_nan_cross_attention_key_weight_stops_every_decoder_use():
+    """The cross-attention keys are projected once, when the decoder state is
+    built; greedy, beam and teacher-forced attention maps all go through it."""
+    params, config, vocab = _toy_model(seed=21)
+    params["dec.0.cross_attn.k_proj.weight"].data[0, 0] = np.nan
+    with pytest.raises(NonFiniteError, match="'matmul'"):
+        greedy_decode_batch(params, config, ["ab"], vocab, DecodeConfig())
+    with pytest.raises(NonFiniteError, match="'matmul'"):
+        beam_decode(params, config, "ab", vocab, DecodeConfig(beam_size=2))
+    with pytest.raises(NonFiniteError, match="'matmul'"):
+        cross_attention_maps(params, config, [("ab", "ba")], vocab)
+
+
 # ---------------------------------------------------------------------------
 # BLEU
 # ---------------------------------------------------------------------------

@@ -255,6 +255,7 @@ def test_conv_encoder_matches_straight_line_oracle(tiny_vocab):
         assert np.allclose(enc.data[0], ref, atol=1e-12), windows
 
 
+@pytest.mark.invariant
 def test_decoder_matches_straight_line_oracle(tiny_setup):
     params, config, vocab = tiny_setup
     batch = make_batch([("abcd", "dcba")], vocab)
@@ -290,7 +291,7 @@ def test_chunked_decoding_through_a_state_equals_one_call(tiny_vocab, kind):
     full, full_cross = model_forward(batch, params, config)
     state = DecoderState(encoder_forward(batch, params, config), params, config)
     bounds = [0, 3, 4, batch.tgt_in_ids.shape[1]]
-    chunks = [decoder_forward(_columns(batch, a, b), None, params, config, state=state)
+    chunks = [decoder_forward(_columns(batch, a, b), state, params, config)
               for a, b in zip(bounds, bounds[1:])]
     assert state.length == bounds[-1]
     logits = np.concatenate([c[0].data for c in chunks], axis=1)
@@ -318,7 +319,7 @@ def test_cached_steps_match_straight_line_decoder(tiny_vocab, kind):
             step = prefixes[:, -1:]
             logits, _ = decoder_forward(Batch(batch.src_ids, step, step, batch.src_mask,
                                               np.ones_like(step, dtype=bool)),
-                                        None, params, config, state=state)
+                                        state, params, config)
             for r in range(2):
                 ref, _ = straight_line_decoder(prefixes[r], enc_ref[r], batch.src_mask[r],
                                                w, config)
@@ -333,7 +334,7 @@ def test_decoder_state_rejects_positions_past_max_len(tiny_vocab):
     state = DecoderState(encoder_forward(batch, params, config), params, config)
     state.length = config.max_len
     with pytest.raises(ShapeError):
-        decoder_forward(_columns(batch, 0, 1), None, params, config, state=state)
+        decoder_forward(_columns(batch, 0, 1), state, params, config)
 
 
 def test_encoder_rejects_overlong_sequence(tiny_vocab):
@@ -446,6 +447,7 @@ def test_cross_attention_masks_pad_keys(tiny_setup):
         assert not masked.any()
 
 
+@pytest.mark.invariant
 def test_end_to_end_gradients(tiny_setup):
     params, config, vocab = tiny_setup
     batch = make_batch([("abcd", "dcba")], vocab)

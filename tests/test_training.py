@@ -228,6 +228,18 @@ def test_train_config_rejects_bad_clip_norm(clip_norm):
         TrainConfig(clip_norm=clip_norm)
 
 
+@pytest.mark.invariant
+@pytest.mark.parametrize("name, value", [("seed", -1), ("early_stop_bleu", 150.0),
+                                         ("early_stop_bleu", -5.0),
+                                         ("early_stop_bleu", float("nan"))])
+def test_train_config_rejects_out_of_range_value(name, value):
+    """numpy rejects a negative seed only once the corpora are mixed, naming
+    no field; a BLEU bound above 100 can never be met, and a negative one
+    silently turns early stopping off."""
+    with pytest.raises(ValueError, match=name):
+        TrainConfig(**{name: value})
+
+
 # ---------------------------------------------------------------------------
 # train loop
 # ---------------------------------------------------------------------------
@@ -478,6 +490,14 @@ _HEADER_DAMAGES = {
                        "d_model must be an integer"),
     "no-config": (lambda h: h.pop("config"), "no 'config'"),
     "no-adam": (lambda h: h.pop("adam"), "no 'adam'"),
+    "int-vocab-chars": (lambda h: h.update(vocab_chars=5), "'vocab_chars'"),
+    "empty-adam": (lambda h: h.update(adam={}), "'adam'"),
+    "list-adam": (lambda h: h.update(adam=[1]), "'adam'"),
+    "string-adam-t": (lambda h: h["adam"].update(t="x"), "'adam.t'"),
+    "negative-adam-t": (lambda h: h["adam"].update(t=-4), "'adam.t'"),
+    "string-step": (lambda h: h.update(step="17"), "'step'"),
+    "float-step": (lambda h: h.update(step=17.5), "'step'"),
+    "negative-epoch": (lambda h: h.update(epoch=-1), "'epoch'"),
 }
 
 
