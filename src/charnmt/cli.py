@@ -120,12 +120,9 @@ def cmd_build_vocab(args) -> None:
 
 
 def cmd_train(args) -> None:
+    """Check every input, then write the run directory and train."""
     cfg = resolve_run_config(json.loads(Path(args.config).read_text(encoding="utf-8")))
     train_cfg = TrainConfig(**cfg["train"])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "resolved_config.json").write_text(
-        json.dumps(cfg, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     data = cfg["data"]
     val_names = [e.get("lang") or f"val{i}" for i, e in enumerate(data["val"])]
     for i, name in enumerate(val_names):
@@ -139,12 +136,16 @@ def cmd_train(args) -> None:
     vals = [_load_entry(e, table) for e in data["val"]]
     vocab = (Vocabulary.load(data["vocab"]) if data["vocab"]
              else build_vocab(corpora, data["min_count"]))
-    vocab.save(out / "vocab.txt")
     model_cfg = ModelConfig(vocab_size=vocab.size, **cfg["model"])
     limit = min(model_cfg.max_len, train_cfg.max_tokens)
     for entry, corpus in zip(data["corpora"] + data["val"], corpora + vals):
         _check_fits(corpus.pairs, entry["src"], entry["tgt"], limit,
                     f"min(max_len, max_tokens) = {limit}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "resolved_config.json").write_text(
+        json.dumps(cfg, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    vocab.save(out / "vocab.txt")
     mixed = mix_corpora(corpora, train_cfg.seed)
     params = build_params(model_cfg, train_cfg.seed)
     val_sets = dict(zip(val_names, vals))

@@ -2,7 +2,8 @@
 
 Each step runs the decoder on the new position only: a ``DecoderState``
 keeps every layer's keys and values of the positions before it, and the
-cross-attention keys and values of each source row, projected once.
+cross-attention keys and values of each source row, projected once,
+with the row's key mask.
 The search is deterministic: hypotheses are ranked by (score desc, ids
 asc), so equal scores resolve lexicographically and a greedy step's ties
 go to the lowest token id. A hard length cap guarantees termination on
@@ -20,6 +21,7 @@ import numpy as np
 from .data import (
     BOS_ID,
     EOS_ID,
+    PAD_ID,
     Batch,
     Vocabulary,
     batch_from_rows,
@@ -29,6 +31,7 @@ from .data import (
 from .model import (
     DecoderState,
     ModelConfig,
+    check_field_types,
     decoder_forward,
     encoder_forward,
 )
@@ -44,6 +47,7 @@ class DecodeConfig:
     length_penalty: float = 0.0   # score = logP / length^penalty
 
     def __post_init__(self):
+        check_field_types(self)
         if self.beam_size < 1:
             raise ValueError("beam_size must be >= 1")
         if self.max_len_ratio <= 0:
@@ -55,11 +59,6 @@ class DecodeConfig:
 def _length_cap(src_len: int, cfg: DecodeConfig, config: ModelConfig) -> int:
     cap = int(cfg.max_len_ratio * src_len) + 10
     return max(1, min(cap, config.max_len - 1))
-
-
-def _gen_batch(src_ids: np.ndarray, src_mask: np.ndarray, tgt_in: np.ndarray) -> Batch:
-    mask = np.ones_like(tgt_in, dtype=bool)
-    return Batch(src_ids, tgt_in, tgt_in, src_mask, mask)
 
 
 def _search(params: ParameterSet, config: ModelConfig, srcs: list[str],
@@ -79,12 +78,12 @@ def _search(params: ParameterSet, config: ModelConfig, srcs: list[str],
         return []
     rows = [encode_pair(s, "", vocab) for s in srcs]
     caps = [_length_cap(len(r[0]), cfg, config) for r in rows]
-    src_batch = batch_from_rows(rows)
-    src, src_mask = src_batch.src_ids, src_batch.src_mask
+    src = batch_from_rows(rows)
     # the last field is the hypothesis's row in the previous decoder call
     beams = [[(0.0, (), 0.0, False, r)] for r in range(len(rows))]
     with no_grad():
-        state = DecoderState(encoder_forward(src_batch, params, config), params, config)
+        state = DecoderState(encoder_forward(src, params, config), src.src_ids != PAD_ID,
+                             params, config)
         for step in itertools.count(1):
             live = [(r, h) for r, beam in enumerate(beams) for h in beam if not h[3]]
             if not live:
@@ -92,7 +91,9 @@ def _search(params: ParameterSet, config: ModelConfig, srcs: list[str],
             owner = np.asarray([r for r, _ in live])
             state.reorder(owner, np.asarray([h[4] for _, h in live]))
             tgt_in = np.asarray([h[1][-1:] or (BOS_ID,) for _, h in live], dtype=np.int64)
-            logits, _ = decoder_forward(_gen_batch(src[owner], src_mask[owner], tgt_in),
+            # the source lives in the state, so the step batch's source fields are zero-width
+            real = np.ones_like(tgt_in, dtype=bool)
+            logits, _ = decoder_forward(Batch(tgt_in[:, :0], tgt_in, tgt_in, real[:, :0], real),
                                         state, params, config)
             logp_tok = log_softmax_lastdim(Tensor(logits.data[:, -1, :])).data
             # every live hypothesis has step - 1 ids, so its expansions all have step

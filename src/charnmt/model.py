@@ -263,25 +263,22 @@ def multi_head_attention(x_q: Tensor, x_kv: Tensor, params: ParameterSet, prefix
 
 
 def conv_sub_block(m: Tensor, params: ParameterSet, prefix: str, windows: tuple[int, ...],
-                   pad_mask: np.ndarray | None = None) -> Tensor:
+                   pad_mask: np.ndarray) -> Tensor:
     """Convolutional sub-block: m + fuse(concat(conv_w(m) for each window)).
 
     All convolutions are same-padded, linear, and map d_model channels to
     d_model (the fusion sees the concatenated 3*d_model channels). With
     every conv weight and bias zero this is exactly the identity. Pad
-    positions of the conv input are zeroed (``pad_mask`` True = real) so
-    outputs at real positions do not depend on how much trailing padding a
-    batch carries; the residual keeps ``m`` untouched. The branches are
-    concatenated in the order of ``windows``.
+    positions of the conv input are zeroed (``pad_mask`` [B, T], True =
+    real) so outputs at real positions do not depend on how much trailing
+    padding a batch carries; the residual keeps ``m`` untouched. The
+    branches are concatenated in the order of ``windows``.
     """
-    x = m
-    if pad_mask is not None:
-        x = m * Tensor(pad_mask[..., None].astype(float))
+    keep = Tensor(pad_mask[..., None].astype(float))
+    x = m * keep
     branches = [conv1d_same(x, params[f"{prefix}.w{w}.weight"], params[f"{prefix}.w{w}.bias"])
                 for w in windows]
-    fused_in = concat(branches, axis=-1)
-    if pad_mask is not None:
-        fused_in = fused_in * Tensor(pad_mask[..., None].astype(float))
+    fused_in = concat(branches, axis=-1) * keep
     fused = conv1d_same(fused_in, params[f"{prefix}.fuse.weight"], params[f"{prefix}.fuse.bias"])
     return m + fused
 
@@ -344,7 +341,8 @@ class DecoderState:
     """The keys and values the decoder attends over, beside its new positions' own.
 
     ``memory`` holds each layer's cross-attention keys and values, projected
-    once per source row from the encoder output. ``past`` holds each layer's
+    once per source row from the encoder output, and ``src_mask`` the source
+    key mask of each row (True = real). ``past`` holds each layer's
     self-attention keys and values of the ``length`` positions run so far,
     one row per row of the last call, and ``key_mask`` their target masks;
     a fresh state has none. ``reorder`` picks, before a call, the source row
@@ -352,10 +350,12 @@ class DecoderState:
     Reordering copies, so it cuts any tape through the past.
     """
 
-    def __init__(self, enc_out: Tensor, params: ParameterSet, config: ModelConfig):
+    def __init__(self, enc_out: Tensor, src_mask: np.ndarray, params: ParameterSet,
+                 config: ModelConfig):
         self.memory = [_keys_values(enc_out, params, f"dec.{i}.cross_attn", config.n_heads)
                        for i in range(config.n_layers)]
-        self.cross = self.memory
+        self.src_mask = src_mask
+        self.cross, self.cross_mask = self.memory, src_mask
         self.past: list[tuple[Tensor, Tensor] | None] = [None] * config.n_layers
         self.key_mask = np.zeros((enc_out.shape[0], 0), dtype=bool)
         self.length = 0
@@ -364,6 +364,7 @@ class DecoderState:
         """Row j of the next call decodes source row ``rows[j]`` and continues
         row ``parents[j]`` of the last call."""
         self.cross = [(Tensor(k.data[rows]), Tensor(v.data[rows])) for k, v in self.memory]
+        self.cross_mask = self.src_mask[rows]
         self.past = [None if kv is None else (Tensor(kv[0].data[parents]),
                                               Tensor(kv[1].data[parents]))
                      for kv in self.past]
@@ -386,8 +387,9 @@ def decoder_forward(batch, state: DecoderState, params: ParameterSet, config: Mo
     target mask, to the state and attends causally over all of them (a
     position sees only itself and those before it; target pad keys are
     hidden). Cross-attention reads the state's keys and values of the
-    encoder output and hides source pad keys. Teacher forcing is one call
-    on a fresh state. Returns logits [B, T_t, vocab] and the per-layer
+    encoder output and hides the source pad keys its mask marks; the
+    batch's source fields are not read. Teacher forcing is one call on a
+    fresh state. Returns logits [B, T_t, vocab] and the per-layer
     cross-attention tensors [B, n_heads, T_t, T_s].
     """
     ids = batch.tgt_in_ids
@@ -398,6 +400,7 @@ def decoder_forward(batch, state: DecoderState, params: ParameterSet, config: Mo
     state.key_mask = np.concatenate([state.key_mask, batch.tgt_mask], axis=1)
     self_mask = (np.tri(t, start + t, start, dtype=bool)[None, None, :, :]
                  & state.key_mask[:, None, None, :])
+    cross_mask = state.cross_mask[:, None, None, :]
     cross_maps: list[Tensor] = []
     for i in range(config.n_layers):
         prefix = f"dec.{i}.self_attn"
@@ -405,7 +408,7 @@ def decoder_forward(batch, state: DecoderState, params: ParameterSet, config: Mo
         a, _ = _attend(x, kv, params, prefix, config.n_heads, self_mask)
         x = _sublayer(x, a, params, f"dec.{i}.self_norm", config, rng)
         c, attn = _attend(x, state.cross[i], params, f"dec.{i}.cross_attn", config.n_heads,
-                          batch.src_mask[:, None, None, :])
+                          cross_mask)
         cross_maps.append(attn)
         x = _sublayer(x, c, params, f"dec.{i}.cross_norm", config, rng)
         f = _ffn(x, params, f"dec.{i}.ff")
@@ -420,7 +423,8 @@ def model_forward(batch, params: ParameterSet, config: ModelConfig,
     """Teacher-forced forward pass: encoder, then one decoder call over the
     BOS-shifted target on a fresh state. Returns decoder logits and per-layer
     cross-attention."""
-    state = DecoderState(encoder_forward(batch, params, config, rng), params, config)
+    state = DecoderState(encoder_forward(batch, params, config, rng), batch.src_mask, params,
+                         config)
     return decoder_forward(batch, state, params, config, rng)
 
 

@@ -358,7 +358,7 @@ def _read_record(f) -> tuple[str, np.ndarray]:
 
 
 def checkpoint_save(params: ParameterSet, config: ModelConfig, vocab: Vocabulary,
-                    adam: AdamState | None, path, step: int = 0, epoch: int = 0) -> None:
+                    adam: AdamState | None, path, step: int, epoch: int) -> None:
     """Binary checkpoint: magic, version byte, JSON header, then one float64
     record per array (parameters, then Adam moments) in sorted name order.
 

@@ -224,19 +224,22 @@ def exhaustive_best_sequence(params, config, src: str, vocab, length_penalty: fl
     src_mask = np.ones((1, len(src_ids)), dtype=bool)
 
     def gen_batch(tgt_in):
-        return Batch(np.repeat(src_row, len(tgt_in), axis=0), tgt_in, tgt_in,
-                     np.repeat(src_mask, len(tgt_in), axis=0),
+        # the decoder reads the source from its state: the batch's source is zero-width
+        no_src = np.zeros((len(tgt_in), 0), dtype=np.int64)
+        return Batch(no_src, tgt_in, tgt_in, no_src.astype(bool),
                      np.ones_like(tgt_in, dtype=bool))
 
     with no_grad():
-        enc = encoder_forward(gen_batch(np.full((1, 1), BOS_ID, dtype=np.int64)),
+        bos = np.full((1, 1), BOS_ID, dtype=np.int64)
+        enc = encoder_forward(Batch(src_row, bos, bos, src_mask, np.ones_like(bos, dtype=bool)),
                               params, config)
         leaves = []
         frontier = [((), 0.0)]
         while frontier:
             tgt_in = np.asarray([(BOS_ID,) + ids for ids, _ in frontier], dtype=np.int64)
             enc_rep = Tensor(np.repeat(enc.data, len(frontier), axis=0))
-            state = DecoderState(enc_rep, params, config)  # fresh: the whole prefix runs
+            mask_rep = np.repeat(src_mask, len(frontier), axis=0)
+            state = DecoderState(enc_rep, mask_rep, params, config)  # fresh: the whole prefix runs
             logits, _ = decoder_forward(gen_batch(tgt_in), state, params, config)
             last = logits.data[:, -1, :]
             last = last - last.max(axis=-1, keepdims=True)
@@ -283,14 +286,16 @@ def uncached_search(params, config, src: str, vocab, width: int, length_penalty:
     src_mask = np.ones((1, len(src_ids)), dtype=bool)
 
     def gen_batch(tgt_in):
-        return Batch(np.repeat(src_row, len(tgt_in), axis=0), tgt_in, tgt_in,
-                     np.repeat(src_mask, len(tgt_in), axis=0),
+        # the decoder reads the source from its state: the batch's source is zero-width
+        no_src = np.zeros((len(tgt_in), 0), dtype=np.int64)
+        return Batch(no_src, tgt_in, tgt_in, no_src.astype(bool),
                      np.ones_like(tgt_in, dtype=bool))
 
     beam = [(0.0, (), 0.0, False, None)]  # (-score, ids, logP, finished, parent)
     reparented = 0
     with no_grad():
-        enc = encoder_forward(gen_batch(np.full((1, 1), BOS_ID, dtype=np.int64)),
+        bos = np.full((1, 1), BOS_ID, dtype=np.int64)
+        enc = encoder_forward(Batch(src_row, bos, bos, src_mask, np.ones_like(bos, dtype=bool)),
                               params, config)
         while True:
             live = [h for h in beam if not h[3]]
@@ -298,7 +303,8 @@ def uncached_search(params, config, src: str, vocab, width: int, length_penalty:
                 break
             tgt_in = np.asarray([(BOS_ID,) + h[1] for h in live], dtype=np.int64)
             enc_rep = Tensor(np.repeat(enc.data, len(live), axis=0))
-            state = DecoderState(enc_rep, params, config)  # fresh: the whole prefix runs
+            mask_rep = np.repeat(src_mask, len(live), axis=0)
+            state = DecoderState(enc_rep, mask_rep, params, config)  # fresh: the whole prefix runs
             logits, _ = decoder_forward(gen_batch(tgt_in), state, params, config)
             last = logits.data[:, -1, :]
             last = last - last.max(axis=-1, keepdims=True)

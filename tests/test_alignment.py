@@ -309,7 +309,7 @@ def _analyze(align_setup, tmp_path, *extra):
     params, config, vocab, pairs = align_setup
     models = {"standard": params, "conv": build_params(config, seed=99)}
     for stem, p in models.items():
-        checkpoint_save(p, config, vocab, None, tmp_path / f"{stem}.ckpt")
+        checkpoint_save(p, config, vocab, None, tmp_path / f"{stem}.ckpt", step=0, epoch=0)
     write_lines(tmp_path / "test.src", [src for src, _ in pairs])
     write_lines(tmp_path / "test.ref", [ref for _, ref in pairs])
     assert main(["analyze", "--ckpt-a", str(tmp_path / "standard.ckpt"),

@@ -53,7 +53,7 @@ def _tiny_checkpoint(tmp_path, name="model.ckpt", seed=0):
                          n_heads=2, d_ff=32, max_len=64, dropout=0.0)
     params = build_params(config, seed=seed)
     path = tmp_path / name
-    checkpoint_save(params, config, vocab, None, path)
+    checkpoint_save(params, config, vocab, None, path, step=0, epoch=0)
     return path, params, config, vocab
 
 
@@ -265,6 +265,35 @@ def test_train_negative_seed_fails_before_writing_anything(corpus_files, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.invariant
+@pytest.mark.parametrize("case", ["bad_model", "overlong_line", "duplicate_val",
+                                  "missing_corpus"])
+def test_train_bad_input_writes_nothing(corpus_files, tmp_path, capsys, case):
+    """Every input is checked before the run directory is made."""
+    src, tgt = corpus_files
+    cfg = _tiny_config(src, tgt, epochs=1)
+    if case == "bad_model":
+        cfg["model"]["d_model"] = 0
+        want = "d_model must be an integer >= 1, got 0"
+    elif case == "overlong_line":
+        src, tgt = _overlong_files(tmp_path, "long", 2, "src", 8)
+        cfg["data"]["corpora"] = [{"src": str(src), "tgt": str(tgt)}]
+        cfg["model"]["max_len"] = 8
+        want = f"{src}: line 2 needs 9 tokens, over min(max_len, max_tokens) = 8"
+    elif case == "duplicate_val":
+        cfg["data"]["val"] = [{"src": str(src), "tgt": str(tgt), "lang": "toy"}] * 2
+        want = "data.val[0] and data.val[1] both name the validation set 'toy'"
+    else:
+        missing = tmp_path / "missing.src"
+        cfg["data"]["corpora"][0]["src"] = str(missing)
+        want = f"[Errno 2] No such file or directory: '{missing}'"
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(_write_config(tmp_path, cfg)), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {want}\n"
+    assert not out.exists()
+
+
 def test_train_corpus_entry_without_src_fails(corpus_files, tmp_path, capsys):
     _, tgt = corpus_files
     cfg = _tiny_config(tmp_path / "unused.src", tgt)
@@ -391,7 +420,7 @@ def test_translate_normalizes_input_to_nfc(tmp_path):
     config = ModelConfig(vocab_size=vocab.size, d_model=16, n_layers=1,
                          n_heads=2, d_ff=32, max_len=64, dropout=0.0)
     ckpt = tmp_path / "model.ckpt"
-    checkpoint_save(build_params(config, seed=3), config, vocab, None, ckpt)
+    checkpoint_save(build_params(config, seed=3), config, vocab, None, ckpt, step=0, epoch=0)
     outputs = []
     for form in ("NFC", "NFD"):
         infile = tmp_path / f"{form}.txt"
@@ -514,7 +543,7 @@ def test_score_length_mismatch_fails(tmp_path, capsys):
 def test_analyze_same_model_gives_unit_correlation(tmp_path, capsys):
     ckpt_a, params, config, vocab = _tiny_checkpoint(tmp_path, name="a.ckpt")
     ckpt_b = tmp_path / "b.ckpt"
-    checkpoint_save(params, config, vocab, None, ckpt_b)
+    checkpoint_save(params, config, vocab, None, ckpt_b, step=0, epoch=0)
     src = tmp_path / "test.src"
     ref = tmp_path / "test.ref"
     src.write_text("\n".join(SRC_LINES + ["abba", "baab", "aaab", "babb"]) + "\n")

@@ -4,6 +4,7 @@ import unicodedata
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charnmt.data import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, ParallelCorpus,
                           TransliterationTable, Vocabulary, batch_from_rows,
@@ -305,6 +306,34 @@ def test_batches_respect_token_budget():
     for batch in make_batches(corpus, vocab, max_tokens=budget, seed=4):
         width = max(batch.src_ids.shape[1], batch.tgt_in_ids.shape[1])
         assert batch.size * width <= budget
+
+
+_TEXT = st.text("abcdefgh", max_size=12)
+
+
+@pytest.mark.invariant
+@settings(derandomize=True, deadline=None)
+@given(pairs=st.lists(st.tuples(_TEXT, _TEXT), min_size=1, max_size=30),
+       slack=st.integers(0, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_batches_pack_any_corpus_once_within_budget(pairs, slack, seed):
+    """Over random corpora and any budget that fits the longest pair, every
+    pair lands in exactly one row, no batch exceeds the budget, and the masks
+    mark exactly the real ids."""
+    vocab = _toy_vocab()
+    budget = max(max(len(s), len(t)) + 1 for s, t in pairs) + slack
+    seen = []
+    for batch in make_batches(ParallelCorpus(pairs=pairs), vocab, max_tokens=budget, seed=seed):
+        rows, width = batch.src_ids.shape[0], max(batch.src_ids.shape[1],
+                                                   batch.tgt_in_ids.shape[1])
+        assert rows * width <= budget
+        assert np.array_equal(batch.src_mask, batch.src_ids != PAD_ID)
+        assert np.array_equal(batch.tgt_mask, batch.tgt_in_ids != PAD_ID)
+        assert np.array_equal(batch.tgt_mask, batch.tgt_out_ids != PAD_ID)
+        for row in range(rows):
+            seen.append((decode(batch.src_ids[row][batch.src_mask[row]][:-1].tolist(), vocab),
+                         decode(batch.tgt_out_ids[row][batch.tgt_mask[row]][:-1].tolist(),
+                                vocab)))
+    assert sorted(seen) == sorted(pairs)
 
 
 def test_batch_order_is_seeded():

@@ -37,6 +37,12 @@ def test_decode_config_validation():
         DecodeConfig(max_len_ratio=0.0)
     with pytest.raises(ValueError):
         DecodeConfig(length_penalty=-0.5)
+    for field, value, kind in (("beam_size", 2.5, "an integer"), ("beam_size", True, "an integer"),
+                               ("beam_size", "4", "an integer"),
+                               ("max_len_ratio", "3", "a number")):
+        with pytest.raises(ValueError) as err:
+            DecodeConfig(**{field: value})
+        assert str(err.value) == f"{field} must be {kind}, got {value!r}"
 
 
 # ---------------------------------------------------------------------------

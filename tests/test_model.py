@@ -196,13 +196,14 @@ def _conv_params(d, windows, seed, zero=False):
 def test_conv_block_zero_weights_is_identity():
     m = Tensor(rand_rng(30).normal(size=(2, 5, 8)))
     params = _conv_params(8, (3, 5, 7), 0, zero=True)
-    out = conv_sub_block(m, params, "conv", (3, 5, 7))
+    out = conv_sub_block(m, params, "conv", (3, 5, 7), np.ones((2, 5), dtype=bool))
     assert np.array_equal(out.data, m.data)
 
 
 def test_conv_block_single_position():
     m = Tensor(rand_rng(31).normal(size=(1, 1, 8)))
-    out = conv_sub_block(m, _conv_params(8, (3, 5, 7), 32), "conv", (3, 5, 7))
+    out = conv_sub_block(m, _conv_params(8, (3, 5, 7), 32), "conv", (3, 5, 7),
+                         np.ones((1, 1), dtype=bool))
     assert out.shape == (1, 1, 8)
 
 
@@ -212,16 +213,19 @@ def test_conv_block_matches_straight_line_oracle():
     d, t = 8, 5
     params = _conv_params(d, (3, 5, 7), 33)
     m = rand_rng(34).normal(size=(1, t, d))
-    out = conv_sub_block(Tensor(m), params, "conv", (3, 5, 7))
-    ref = _sl_conv_block(m[0], weights_of(params), "conv", (3, 5, 7), None)
+    real = np.ones((1, t), dtype=bool)
+    out = conv_sub_block(Tensor(m), params, "conv", (3, 5, 7), real)
+    ref = _sl_conv_block(m[0], weights_of(params), "conv", (3, 5, 7), real[0])
     assert np.allclose(out.data[0], ref, atol=1e-12)
 
 
 def test_conv_block_gradients():
     params = _conv_params(4, (3, 5), 35)
     m = Tensor(rand_rng(36).normal(size=(1, 4, 4)), requires_grad=False)
-    report = grad_check(lambda p: tsum(conv_sub_block(m, p, "conv", (3, 5)) *
-                                       conv_sub_block(m, p, "conv", (3, 5))) * (1.0 / m.size),
+    real = np.ones((1, 4), dtype=bool)
+    report = grad_check(lambda p: tsum(conv_sub_block(m, p, "conv", (3, 5), real) *
+                                       conv_sub_block(m, p, "conv", (3, 5), real))
+                        * (1.0 / m.size),
                         params, tol=1e-4)
     assert report.passed, report.per_param
 
@@ -289,7 +293,8 @@ def test_chunked_decoding_through_a_state_equals_one_call(tiny_vocab, kind):
     batch = make_batch([("abcd", "dcbaab"), ("ab", "ba"), ("abc", "cabdd")], tiny_vocab)
     assert not batch.src_mask.all() and not batch.tgt_mask.all()
     full, full_cross = model_forward(batch, params, config)
-    state = DecoderState(encoder_forward(batch, params, config), params, config)
+    state = DecoderState(encoder_forward(batch, params, config), batch.src_mask, params,
+                         config)
     bounds = [0, 3, 4, batch.tgt_in_ids.shape[1]]
     chunks = [decoder_forward(_columns(batch, a, b), state, params, config)
               for a, b in zip(bounds, bounds[1:])]
@@ -314,7 +319,8 @@ def test_cached_steps_match_straight_line_decoder(tiny_vocab, kind):
     rng = rand_rng(33)
     prefixes = np.full((2, 1), BOS_ID, dtype=np.int64)
     with no_grad():
-        state = DecoderState(encoder_forward(batch, params, config), params, config)
+        state = DecoderState(encoder_forward(batch, params, config), batch.src_mask, params,
+                             config)
         for _ in range(12):
             step = prefixes[:, -1:]
             logits, _ = decoder_forward(Batch(batch.src_ids, step, step, batch.src_mask,
@@ -328,10 +334,37 @@ def test_cached_steps_match_straight_line_decoder(tiny_vocab, kind):
                 [prefixes, rng.integers(0, config.vocab_size, size=(2, 1))], axis=1)
 
 
+@pytest.mark.invariant
+@pytest.mark.parametrize("kind", ["standard", "conv"])
+def test_reorder_carries_each_rows_source_mask(tiny_vocab, kind):
+    """A state reordered onto rows with different source padding attends as
+    a teacher-forced pass over those rows does, and never onto pad keys."""
+    params, config = _cache_model(tiny_vocab, kind, seed=35)
+    pairs = [("abcd", "dcba"), ("ab", "ba")]
+    batch = make_batch(pairs, tiny_vocab)
+    assert not batch.src_mask.all()
+    rows = np.asarray([1, 0, 1])
+    full, full_cross = model_forward(make_batch([pairs[r] for r in rows], tiny_vocab),
+                                     params, config)
+    state = DecoderState(encoder_forward(batch, params, config), batch.src_mask, params,
+                         config)
+    state.reorder(rows, rows)
+    bos = np.full((3, 1), BOS_ID, dtype=np.int64)
+    real = np.ones_like(bos, dtype=bool)
+    logits, cross = decoder_forward(Batch(bos[:, :0], bos, bos, real[:, :0], real),
+                                    state, params, config)
+    assert np.allclose(logits.data[:, 0], full.data[:, 0], rtol=0.0, atol=1e-12)
+    pad = ~batch.src_mask[rows]
+    for got, want in zip(cross, full_cross):
+        assert np.allclose(got.data[:, :, 0], want.data[:, :, 0], rtol=0.0, atol=1e-12)
+        assert np.all(got.data[np.broadcast_to(pad[:, None, None, :], got.shape)] == 0.0)
+
+
 def test_decoder_state_rejects_positions_past_max_len(tiny_vocab):
     params, config = _cache_model(tiny_vocab, "standard", seed=34)
     batch = make_batch([("ab", "ab")], tiny_vocab)
-    state = DecoderState(encoder_forward(batch, params, config), params, config)
+    state = DecoderState(encoder_forward(batch, params, config), batch.src_mask, params,
+                         config)
     state.length = config.max_len
     with pytest.raises(ShapeError):
         decoder_forward(_columns(batch, 0, 1), state, params, config)
