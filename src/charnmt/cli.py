@@ -82,7 +82,26 @@ def resolve_run_config(doc: dict) -> dict:
             offenders += [f"data.{listname}[{i}].{key}" for key in entry if key not in keys]
     if offenders:
         raise ValueError("unknown config keys: " + ", ".join(sorted(offenders)))
+    _check_data_types(resolved["data"])
     return resolved
+
+
+def _check_data_types(data: dict) -> None:
+    """Reject the first ``data`` value of the wrong type, naming its key:
+    ``min_count`` is an integer (not a bool), ``vocab`` and ``translit`` a
+    path or null, and every corpus or validation entry value a string."""
+    count = data["min_count"]
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise ValueError(f"min_count must be an integer, got {count!r}")
+    for key in ("vocab", "translit"):
+        if not isinstance(data[key], (str, type(None))):
+            raise ValueError(f"{key} must be a string or null, got {data[key]!r}")
+    for listname in _ENTRY_KEYS:
+        for i, entry in enumerate(data[listname]):
+            for key, value in entry.items():
+                if not isinstance(value, str):
+                    raise ValueError(f"data.{listname}[{i}].{key} must be a string, "
+                                     f"got {value!r}")
 
 
 def _load_table(path) -> TransliterationTable | None:

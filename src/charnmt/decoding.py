@@ -21,7 +21,6 @@ import numpy as np
 from .data import (
     BOS_ID,
     EOS_ID,
-    PAD_ID,
     Batch,
     Vocabulary,
     batch_from_rows,
@@ -69,10 +68,10 @@ def _search(params: ParameterSet, config: ModelConfig, srcs: list[str],
     is the ranking (ids are distinct within a row, so ``parent`` never
     decides it). Every step runs the decoder on the last token of each
     live hypothesis of the rows still searching, after reordering the
-    decoder state so that each continues its parent's keys and values; a
-    row leaves once all of its kept hypotheses have emitted EOS or reached
-    its cap. Finished hypotheses keep competing for beam slots with frozen
-    scores.
+    decoder state by each one's parent, whose source row and keys and
+    values it continues; a row leaves once all of its kept hypotheses have
+    emitted EOS or reached its cap. Finished hypotheses keep competing for
+    beam slots with frozen scores.
     """
     if not srcs:
         return []
@@ -82,14 +81,12 @@ def _search(params: ParameterSet, config: ModelConfig, srcs: list[str],
     # the last field is the hypothesis's row in the previous decoder call
     beams = [[(0.0, (), 0.0, False, r)] for r in range(len(rows))]
     with no_grad():
-        state = DecoderState(encoder_forward(src, params, config), src.src_ids != PAD_ID,
-                             params, config)
+        state = DecoderState(encoder_forward(src, params, config), src.src_mask, params, config)
         for step in itertools.count(1):
             live = [(r, h) for r, beam in enumerate(beams) for h in beam if not h[3]]
             if not live:
                 break
-            owner = np.asarray([r for r, _ in live])
-            state.reorder(owner, np.asarray([h[4] for _, h in live]))
+            state.reorder(np.asarray([h[4] for _, h in live]))
             tgt_in = np.asarray([h[1][-1:] or (BOS_ID,) for _, h in live], dtype=np.int64)
             # the source lives in the state, so the step batch's source fields are zero-width
             real = np.ones_like(tgt_in, dtype=bool)
@@ -103,7 +100,7 @@ def _search(params: ParameterSet, config: ModelConfig, srcs: list[str],
             k = min(width, neg_score.shape[1])
             top = np.argpartition(neg_score, k - 1, axis=1)[:, k - 1:k]
             kth = np.take_along_axis(neg_score, top, axis=1)
-            cands = {r: [h for h in beams[r] if h[3]] for r in set(owner.tolist())}
+            cands = {r: [h for h in beams[r] if h[3]] for r, _ in live}
             for j, tok in zip(*np.nonzero(neg_score <= kth)):
                 r, (_, ids, _, _, _) = live[j]
                 tok = int(tok)

@@ -340,34 +340,33 @@ def encoder_forward(batch, params: ParameterSet, config: ModelConfig,
 class DecoderState:
     """The keys and values the decoder attends over, beside its new positions' own.
 
-    ``memory`` holds each layer's cross-attention keys and values, projected
-    once per source row from the encoder output, and ``src_mask`` the source
-    key mask of each row (True = real). ``past`` holds each layer's
+    ``cross`` holds each layer's cross-attention keys and values, projected
+    once per source row from the encoder output, and ``cross_mask`` the
+    source key mask of each row (True = real). ``past`` holds each layer's
     self-attention keys and values of the ``length`` positions run so far,
-    one row per row of the last call, and ``key_mask`` their target masks;
-    a fresh state has none. ``reorder`` picks, before a call, the source row
-    and the past of each of its rows; without it, row i continues row i.
-    Reordering copies, so it cuts any tape through the past.
+    and ``key_mask`` their target masks; a fresh state has none. Every
+    array has one row per row of the last call; without ``reorder``, row i
+    continues row i. Reordering copies, so it cuts any tape through the past.
     """
 
     def __init__(self, enc_out: Tensor, src_mask: np.ndarray, params: ParameterSet,
                  config: ModelConfig):
-        self.memory = [_keys_values(enc_out, params, f"dec.{i}.cross_attn", config.n_heads)
-                       for i in range(config.n_layers)]
-        self.src_mask = src_mask
-        self.cross, self.cross_mask = self.memory, src_mask
+        self.cross = [_keys_values(enc_out, params, f"dec.{i}.cross_attn", config.n_heads)
+                      for i in range(config.n_layers)]
+        self.cross_mask = src_mask
         self.past: list[tuple[Tensor, Tensor] | None] = [None] * config.n_layers
         self.key_mask = np.zeros((enc_out.shape[0], 0), dtype=bool)
         self.length = 0
 
-    def reorder(self, rows: np.ndarray, parents: np.ndarray) -> None:
-        """Row j of the next call decodes source row ``rows[j]`` and continues
-        row ``parents[j]`` of the last call."""
-        self.cross = [(Tensor(k.data[rows]), Tensor(v.data[rows])) for k, v in self.memory]
-        self.cross_mask = self.src_mask[rows]
-        self.past = [None if kv is None else (Tensor(kv[0].data[parents]),
-                                              Tensor(kv[1].data[parents]))
-                     for kv in self.past]
+    def reorder(self, parents: np.ndarray) -> None:
+        """Row j of the next call continues row ``parents[j]`` of the last
+        call: its source row as well as its past."""
+        def take(kv: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
+            return Tensor(kv[0].data[parents]), Tensor(kv[1].data[parents])
+
+        self.cross = [take(kv) for kv in self.cross]
+        self.cross_mask = self.cross_mask[parents]
+        self.past = [None if kv is None else take(kv) for kv in self.past]
         self.key_mask = self.key_mask[parents]
 
     def _extend(self, layer: int, kv: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:

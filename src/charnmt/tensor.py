@@ -306,9 +306,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         dx = inv * term
         axes = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=axes) if axes else g * xhat
-        dbias = g.sum(axis=axes) if axes else g.copy()
-        return dx, dgain, dbias
+        return dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
     return _make("layer_norm", out, (x, gain, bias), backward)
 
@@ -350,8 +348,7 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         for k in range(w):
             dxp[..., k:k + t, :] += np.matmul(g, k_data[k].T)
             dk[k] = xp[..., k:k + t, :].reshape(-1, d_in).T @ g2
-        dx = dxp[..., pad:pad + t, :] if pad else dxp
-        return dx, dk, g2.sum(axis=0)
+        return dxp[..., pad:pad + t, :], dk, g2.sum(axis=0)
 
     return _make("conv1d_same", out, (x, kernels, bias), backward)
 

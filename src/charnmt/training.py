@@ -69,17 +69,11 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-9  # the Transformer's Adam
 @dataclass
 class AdamState:
     """First and second moment estimates, flat in the layout of the
-    parameter arena (``ParameterSet.data``), plus the step counter.
-    ``scratch`` holds two arena-sized buffers that ``adam_step`` reuses
-    every step; they are not part of the state a checkpoint keeps."""
+    parameter arena (``ParameterSet.data``), plus the step counter."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def for_params(cls, params: ParameterSet) -> "AdamState":
@@ -102,22 +96,11 @@ def adam_step(params: ParameterSet, state: AdamState, lr: float) -> None:
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
-    # in place, rounding as data -= lr * (m/c1) / (sqrt(v/c2) + eps) would
-    tmp, step = state.scratch
-    np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
     state.m *= ADAM_BETA1
-    state.m += tmp
-    np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
-    tmp *= g
+    state.m += (1.0 - ADAM_BETA1) * g
     state.v *= ADAM_BETA2
-    state.v += tmp
-    np.divide(state.v, c2, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += ADAM_EPS
-    np.divide(state.m, c1, out=step)
-    step *= lr
-    step /= tmp
-    params.data -= step
+    state.v += (1.0 - ADAM_BETA2) * g * g
+    params.data -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
 
 
 def lr_at_step(step: int, d_model: int, warmup: int) -> float:

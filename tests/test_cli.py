@@ -267,7 +267,9 @@ def test_train_negative_seed_fails_before_writing_anything(corpus_files, tmp_pat
 
 @pytest.mark.invariant
 @pytest.mark.parametrize("case", ["bad_model", "overlong_line", "duplicate_val",
-                                  "missing_corpus"])
+                                  "missing_corpus", "min_count_str", "min_count_bool",
+                                  "vocab_int", "translit_int", "corpus_src_int",
+                                  "val_lang_int"])
 def test_train_bad_input_writes_nothing(corpus_files, tmp_path, capsys, case):
     """Every input is checked before the run directory is made."""
     src, tgt = corpus_files
@@ -283,6 +285,19 @@ def test_train_bad_input_writes_nothing(corpus_files, tmp_path, capsys, case):
     elif case == "duplicate_val":
         cfg["data"]["val"] = [{"src": str(src), "tgt": str(tgt), "lang": "toy"}] * 2
         want = "data.val[0] and data.val[1] both name the validation set 'toy'"
+    elif case.startswith("min_count"):
+        cfg["data"]["min_count"] = "2" if case == "min_count_str" else True
+        want = f"min_count must be an integer, got {cfg['data']['min_count']!r}"
+    elif case in ("vocab_int", "translit_int"):
+        key = case.split("_")[0]
+        cfg["data"][key] = 7
+        want = f"{key} must be a string or null, got 7"
+    elif case == "corpus_src_int":
+        cfg["data"]["corpora"][0]["src"] = 5
+        want = "data.corpora[0].src must be a string, got 5"
+    elif case == "val_lang_int":
+        cfg["data"]["val"] = [{"src": str(src), "tgt": str(tgt), "lang": 3}]
+        want = "data.val[0].lang must be a string, got 3"
     else:
         missing = tmp_path / "missing.src"
         cfg["data"]["corpora"][0]["src"] = str(missing)

@@ -338,26 +338,28 @@ def test_cached_steps_match_straight_line_decoder(tiny_vocab, kind):
 @pytest.mark.parametrize("kind", ["standard", "conv"])
 def test_reorder_carries_each_rows_source_mask(tiny_vocab, kind):
     """A state reordered onto rows with different source padding attends as
-    a teacher-forced pass over those rows does, and never onto pad keys."""
+    a teacher-forced pass over those rows does, and never onto pad keys,
+    after a second reorder too: each row keeps its parent's source row."""
     params, config = _cache_model(tiny_vocab, kind, seed=35)
     pairs = [("abcd", "dcba"), ("ab", "ba")]
     batch = make_batch(pairs, tiny_vocab)
     assert not batch.src_mask.all()
-    rows = np.asarray([1, 0, 1])
-    full, full_cross = model_forward(make_batch([pairs[r] for r in rows], tiny_vocab),
-                                     params, config)
     state = DecoderState(encoder_forward(batch, params, config), batch.src_mask, params,
                          config)
-    state.reorder(rows, rows)
-    bos = np.full((3, 1), BOS_ID, dtype=np.int64)
-    real = np.ones_like(bos, dtype=bool)
-    logits, cross = decoder_forward(Batch(bos[:, :0], bos, bos, real[:, :0], real),
-                                    state, params, config)
-    assert np.allclose(logits.data[:, 0], full.data[:, 0], rtol=0.0, atol=1e-12)
-    pad = ~batch.src_mask[rows]
-    for got, want in zip(cross, full_cross):
-        assert np.allclose(got.data[:, :, 0], want.data[:, :, 0], rtol=0.0, atol=1e-12)
-        assert np.all(got.data[np.broadcast_to(pad[:, None, None, :], got.shape)] == 0.0)
+    # the BOS step on source rows [1, 0, 1], then position 1 continuing rows 2 and 1
+    for pos, parents, rows in ((0, [1, 0, 1], [1, 0, 1]), (1, [2, 1], [1, 0])):
+        forced = make_batch([pairs[r] for r in rows], tiny_vocab)
+        full, full_cross = model_forward(forced, params, config)
+        state.reorder(np.asarray(parents))
+        tok = forced.tgt_in_ids[:, pos:pos + 1]
+        real = np.ones_like(tok, dtype=bool)
+        logits, cross = decoder_forward(Batch(tok[:, :0], tok, tok, real[:, :0], real),
+                                        state, params, config)
+        assert np.allclose(logits.data[:, 0], full.data[:, pos], rtol=0.0, atol=1e-12)
+        pad = ~batch.src_mask[rows]
+        for got, want in zip(cross, full_cross):
+            assert np.allclose(got.data[:, :, 0], want.data[:, :, pos], rtol=0.0, atol=1e-12)
+            assert np.all(got.data[np.broadcast_to(pad[:, None, None, :], got.shape)] == 0.0)
 
 
 def test_decoder_state_rejects_positions_past_max_len(tiny_vocab):

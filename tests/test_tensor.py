@@ -318,6 +318,10 @@ def _op_cases():
          {"x": (3, 5), "y": (3, 5)}),
         ("layer_norm", lambda p: tsum(layer_norm(p["x"], p["g"], p["b"])),
          {"x": (3, 6), "g": (6,), "b": (6,)}),
+        ("layer_norm_1d", lambda p: tsum(mul(layer_norm(p["x"], p["g"], p["b"]), p["y"])),
+         {"x": (6,), "g": (6,), "b": (6,), "y": (6,)}),
+        ("conv1d_same_w1", lambda p: tsum(mul(conv1d_same(p["x"], p["k"], p["b"]), p["y"])),
+         {"x": (2, 5, 3), "k": (1, 3, 4), "b": (4,), "y": (2, 5, 4)}),
         ("reshape", lambda p: tsum(mul(reshape(p["x"], (2, 6)), reshape(p["x"], (2, 6)))),
          {"x": (3, 4)}),
         ("transpose", lambda p: tsum(matmul(transpose(p["x"], (1, 0)), p["x"])),
