@@ -217,11 +217,12 @@ def mix_corpora(corpora: list[ParallelCorpus], seed: int) -> ParallelCorpus:
 
 @dataclass
 class Batch:
-    """Padded id matrices for one training step.
+    """Right-padded id matrices for one training step.
 
     ``tgt_in_ids`` is the BOS-prefixed decoder input and ``tgt_out_ids``
     the EOS-terminated prediction target; the two are the same sequence
-    shifted by one. Masks are True at real (non-PAD) positions; ``tgt_mask``
+    shifted by one. PAD_ID in the ids is the only record of padding: the
+    masks are derived from it, True at real positions, and ``tgt_mask``
     serves both target views because BOS and EOS pad them to the same
     length.
     """
@@ -229,8 +230,14 @@ class Batch:
     src_ids: np.ndarray
     tgt_in_ids: np.ndarray
     tgt_out_ids: np.ndarray
-    src_mask: np.ndarray
-    tgt_mask: np.ndarray
+
+    @property
+    def src_mask(self) -> np.ndarray:
+        return self.src_ids != PAD_ID
+
+    @property
+    def tgt_mask(self) -> np.ndarray:
+        return self.tgt_out_ids != PAD_ID
 
     @property
     def size(self) -> int:
@@ -256,15 +263,11 @@ def batch_from_rows(rows: list[tuple[list[int], list[int], list[int]]]) -> Batch
     src = np.full((b, t_s), PAD_ID, dtype=np.int64)
     tin = np.full((b, t_t), PAD_ID, dtype=np.int64)
     tout = np.full((b, t_t), PAD_ID, dtype=np.int64)
-    src_mask = np.zeros((b, t_s), dtype=bool)
-    tgt_mask = np.zeros((b, t_t), dtype=bool)
     for i, (s, ti, to) in enumerate(rows):
         src[i, :len(s)] = s
         tin[i, :len(ti)] = ti
         tout[i, :len(to)] = to
-        src_mask[i, :len(s)] = True
-        tgt_mask[i, :len(to)] = True
-    return Batch(src, tin, tout, src_mask, tgt_mask)
+    return Batch(src, tin, tout)
 
 
 def make_batches(corpus: ParallelCorpus, vocab: Vocabulary, max_tokens: int,

@@ -88,10 +88,9 @@ def _search(params: ParameterSet, config: ModelConfig, srcs: list[str],
                 break
             state.reorder(np.asarray([h[4] for _, h in live]))
             tgt_in = np.asarray([h[1][-1:] or (BOS_ID,) for _, h in live], dtype=np.int64)
-            # the source lives in the state, so the step batch's source fields are zero-width
-            real = np.ones_like(tgt_in, dtype=bool)
-            logits, _ = decoder_forward(Batch(tgt_in[:, :0], tgt_in, tgt_in, real[:, :0], real),
-                                        state, params, config)
+            # the source lives in the state, so the step batch's source is zero-width
+            logits, _ = decoder_forward(Batch(tgt_in[:, :0], tgt_in, tgt_in), state, params,
+                                        config)
             logp_tok = log_softmax_lastdim(Tensor(logits.data[:, -1, :])).data
             # every live hypothesis has step - 1 ids, so its expansions all have step
             logp = np.asarray([h[2] for _, h in live])[:, None] + logp_tok
@@ -114,7 +113,7 @@ def _search(params: ParameterSet, config: ModelConfig, srcs: list[str],
 def greedy_decode_batch(params: ParameterSet, config: ModelConfig, srcs: list[str],
                         vocab: Vocabulary, cfg: DecodeConfig) -> list[str]:
     """Greedy-decode many sources at once; equivalent to sentence-by-sentence
-    decoding because padded positions are masked out of every sub-layer.
+    decoding because source pad positions are masked out of every sub-layer.
     ``cfg.beam_size`` is not read: greedy is width 1."""
     return _search(params, config, srcs, vocab, cfg, 1)
 

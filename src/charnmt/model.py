@@ -343,8 +343,9 @@ class DecoderState:
     ``cross`` holds each layer's cross-attention keys and values, projected
     once per source row from the encoder output, and ``cross_mask`` the
     source key mask of each row (True = real). ``past`` holds each layer's
-    self-attention keys and values of the ``length`` positions run so far,
-    and ``key_mask`` their target masks; a fresh state has none. Every
+    self-attention keys and values of the ``length`` positions run so far;
+    a fresh state has none. Target padding needs no mask here: it is right
+    padding, so the causal mask hides it from every real position. Every
     array has one row per row of the last call; without ``reorder``, row i
     continues row i. Reordering copies, so it cuts any tape through the past.
     """
@@ -355,7 +356,6 @@ class DecoderState:
                       for i in range(config.n_layers)]
         self.cross_mask = src_mask
         self.past: list[tuple[Tensor, Tensor] | None] = [None] * config.n_layers
-        self.key_mask = np.zeros((enc_out.shape[0], 0), dtype=bool)
         self.length = 0
 
     def reorder(self, parents: np.ndarray) -> None:
@@ -367,7 +367,6 @@ class DecoderState:
         self.cross = [take(kv) for kv in self.cross]
         self.cross_mask = self.cross_mask[parents]
         self.past = [None if kv is None else take(kv) for kv in self.past]
-        self.key_mask = self.key_mask[parents]
 
     def _extend(self, layer: int, kv: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
         past = self.past[layer]
@@ -382,23 +381,21 @@ def decoder_forward(batch, state: DecoderState, params: ParameterSet, config: Mo
     """Run the decoder over ``batch.tgt_in_ids``, the positions that follow
     the ``state.length`` positions ``state`` already holds.
 
-    Each layer appends its self-attention keys and values, and the batch's
-    target mask, to the state and attends causally over all of them (a
-    position sees only itself and those before it; target pad keys are
-    hidden). Cross-attention reads the state's keys and values of the
-    encoder output and hides the source pad keys its mask marks; the
-    batch's source fields are not read. Teacher forcing is one call on a
-    fresh state. Returns logits [B, T_t, vocab] and the per-layer
-    cross-attention tensors [B, n_heads, T_t, T_s].
+    Each layer appends its self-attention keys and values to the state and
+    attends causally over all of them: a position sees only itself and
+    those before it, so right padding, which follows every real position,
+    is hidden by the causal mask alone. Cross-attention reads the state's
+    keys and values of the encoder output and hides the source pad keys
+    its mask marks. Only ``batch.tgt_in_ids`` is read. Teacher forcing is
+    one call on a fresh state. Returns logits [B, T_t, vocab] and the
+    per-layer cross-attention tensors [B, n_heads, T_t, T_s].
     """
     ids = batch.tgt_in_ids
     if int(ids.max()) >= config.vocab_size:
         raise ShapeError("target id out of vocabulary range")
     start, t = state.length, ids.shape[1]
     x = _embed(ids, params, "tgt_embed", config, rng, start)
-    state.key_mask = np.concatenate([state.key_mask, batch.tgt_mask], axis=1)
-    self_mask = (np.tri(t, start + t, start, dtype=bool)[None, None, :, :]
-                 & state.key_mask[:, None, None, :])
+    self_mask = np.tri(t, start + t, start, dtype=bool)
     cross_mask = state.cross_mask[:, None, None, :]
     cross_maps: list[Tensor] = []
     for i in range(config.n_layers):

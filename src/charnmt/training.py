@@ -238,8 +238,9 @@ def train(params: ParameterSet, config: ModelConfig, train_config: TrainConfig,
     (train_config.seed, epoch), so a run resumed from an epoch-boundary
     checkpoint (pass ``start_epoch``, ``adam``) continues the exact
     uninterrupted trajectory. A non-finite loss or gradient aborts with
-    parameters restored to the last completed epoch; checkpoints already
-    on disk are left in place.
+    the parameters and ``adam`` restored to the last completed epoch, the
+    pair ``latest.ckpt`` holds; checkpoints already on disk are left in
+    place.
     """
     adam = adam if adam is not None else AdamState.for_params(params)
     log = log if log is not None else TrainLog()
@@ -247,10 +248,12 @@ def train(params: ParameterSet, config: ModelConfig, train_config: TrainConfig,
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    snapshot = params.copy()
     best_bleu = -1.0
     try:
         for epoch in range(start_epoch, train_config.epochs):
+            # what an abort restores: the state after the last completed epoch
+            saved_params = params.copy()
+            saved_adam = AdamState(adam.m.copy(), adam.v.copy(), adam.t)
             batches = make_batches(corpus, vocab, train_config.max_tokens,
                                    seed=seed_for_name(train_config.seed, f"batches.{epoch}"))
             drop_rng = np.random.Generator(np.random.PCG64(
@@ -270,7 +273,6 @@ def train(params: ParameterSet, config: ModelConfig, train_config: TrainConfig,
                                   if val_sets else (float("nan"), {}))
             log.epochs.append(EpochRecord(adam.t, epoch, val_loss, val_bleu,
                                           time.perf_counter() - t0))
-            snapshot = params.copy()
             if out_dir is not None:
                 checkpoint_save(params, config, vocab, adam, out_dir / "latest.ckpt",
                                 step=adam.t, epoch=epoch + 1)
@@ -283,9 +285,12 @@ def train(params: ParameterSet, config: ModelConfig, train_config: TrainConfig,
                     and all(b >= train_config.early_stop_bleu for b in val_bleu.values())):
                 break
     except NonFiniteError as e:
-        params.load_data(snapshot)
-        raise RuntimeError(f"training aborted: {e}; parameters restored to the "
-                           f"last completed epoch") from e
+        params.load_data(saved_params)
+        np.copyto(adam.m, saved_adam.m)
+        np.copyto(adam.v, saved_adam.v)
+        adam.t = saved_adam.t
+        raise RuntimeError(f"training aborted: {e}; parameters and Adam state restored to "
+                           f"the last completed epoch") from e
     if out_dir is not None and not (out_dir / "latest.ckpt").exists():
         checkpoint_save(params, config, vocab, adam, out_dir / "latest.ckpt",
                         step=adam.t, epoch=start_epoch)

@@ -226,13 +226,11 @@ def exhaustive_best_sequence(params, config, src: str, vocab, length_penalty: fl
     def gen_batch(tgt_in):
         # the decoder reads the source from its state: the batch's source is zero-width
         no_src = np.zeros((len(tgt_in), 0), dtype=np.int64)
-        return Batch(no_src, tgt_in, tgt_in, no_src.astype(bool),
-                     np.ones_like(tgt_in, dtype=bool))
+        return Batch(no_src, tgt_in, tgt_in)
 
     with no_grad():
         bos = np.full((1, 1), BOS_ID, dtype=np.int64)
-        enc = encoder_forward(Batch(src_row, bos, bos, src_mask, np.ones_like(bos, dtype=bool)),
-                              params, config)
+        enc = encoder_forward(Batch(src_row, bos, bos), params, config)
         leaves = []
         frontier = [((), 0.0)]
         while frontier:
@@ -288,15 +286,13 @@ def uncached_search(params, config, src: str, vocab, width: int, length_penalty:
     def gen_batch(tgt_in):
         # the decoder reads the source from its state: the batch's source is zero-width
         no_src = np.zeros((len(tgt_in), 0), dtype=np.int64)
-        return Batch(no_src, tgt_in, tgt_in, no_src.astype(bool),
-                     np.ones_like(tgt_in, dtype=bool))
+        return Batch(no_src, tgt_in, tgt_in)
 
     beam = [(0.0, (), 0.0, False, None)]  # (-score, ids, logP, finished, parent)
     reparented = 0
     with no_grad():
         bos = np.full((1, 1), BOS_ID, dtype=np.int64)
-        enc = encoder_forward(Batch(src_row, bos, bos, src_mask, np.ones_like(bos, dtype=bool)),
-                              params, config)
+        enc = encoder_forward(Batch(src_row, bos, bos), params, config)
         while True:
             live = [h for h in beam if not h[3]]
             if not live:

@@ -13,7 +13,7 @@ from charnmt.cli import main, resolve_run_config
 from charnmt.data import ParallelCorpus, build_vocab
 from charnmt.decoding import DecodeConfig, greedy_decode_batch
 from charnmt.model import ModelConfig, build_params
-from charnmt.training import checkpoint_save
+from charnmt.training import checkpoint_load, checkpoint_save
 
 SRC_LINES = ["ab", "ba", "aab", "bba", "abab", "baba", "aa", "bb"]
 TGT_LINES = ["ab", "ab", "aab", "aab", "abab", "abab", "aa", "aa"]
@@ -402,6 +402,35 @@ def test_translate_matches_library_greedy(tmp_path):
                  "--out", str(outfile)]) == 0
     got = outfile.read_text().splitlines()
     assert got == greedy_decode_batch(params, config, srcs, vocab, DecodeConfig())
+
+
+def test_translit_table_runs_through_vocab_train_and_translate(tmp_path):
+    """A valid table latinizes the sources for build-vocab, a run config's
+    training data and translate alike."""
+    table = tmp_path / "table.tsv"
+    table.write_text("\u03b1\tqa\n\u03b2\tqb\n", encoding="utf-8")
+    src, tgt = tmp_path / "train.src", tmp_path / "train.tgt"
+    src.write_text("\n".join(line.translate({ord("a"): "\u03b1", ord("b"): "\u03b2"})
+                             for line in SRC_LINES) + "\n", encoding="utf-8")
+    tgt.write_text("\n".join(TGT_LINES) + "\n")
+    vocab_path = tmp_path / "vocab.txt"
+    assert main(["build-vocab", "--src", str(src), "--tgt", str(tgt), "--out", str(vocab_path),
+                 "--translit", str(table)]) == 0
+    chars = vocab_path.read_text(encoding="utf-8").splitlines()
+    assert chars == sorted("abq|")
+    cfg = _tiny_config(src, tgt, epochs=1)
+    cfg["data"]["translit"] = str(table)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(_write_config(tmp_path, cfg)), "--out", str(run)]) == 0
+    assert (run / "vocab.txt").read_bytes() == vocab_path.read_bytes()
+    infile, outfile = tmp_path / "in.txt", tmp_path / "out.txt"
+    infile.write_text("\u03b1\u03b2\n\u03b2\u03b2\u03b1\n", encoding="utf-8")
+    assert main(["translate", "--ckpt", str(run / "latest.ckpt"), "--in", str(infile),
+                 "--out", str(outfile), "--translit", str(table)]) == 0
+    bundle = checkpoint_load(run / "latest.ckpt")
+    want = greedy_decode_batch(bundle.params, bundle.config, ["qa|qb|", "qb|qb|qa|"],
+                               bundle.vocab, DecodeConfig())
+    assert outfile.read_text(encoding="utf-8").splitlines() == want
 
 
 def test_translate_beam_flag(tmp_path):

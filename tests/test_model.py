@@ -5,8 +5,10 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from charnmt.data import BOS_ID, PAD_ID, Batch, batch_from_rows, encode_pair
+from charnmt.data import (BOS_ID, PAD_ID, Batch, ParallelCorpus, batch_from_rows, build_vocab,
+                          encode_pair)
 from charnmt.model import (DecoderState, ModelConfig, build_params, conv_sub_block,
                            decoder_forward, encoder_forward,
                            extract_cross_attention, model_forward,
@@ -279,8 +281,7 @@ def _cache_model(tiny_vocab, kind, seed):
 
 def _columns(batch, start, stop):
     return Batch(batch.src_ids, batch.tgt_in_ids[:, start:stop],
-                 batch.tgt_out_ids[:, start:stop], batch.src_mask,
-                 batch.tgt_mask[:, start:stop])
+                 batch.tgt_out_ids[:, start:stop])
 
 
 @pytest.mark.invariant
@@ -323,8 +324,7 @@ def test_cached_steps_match_straight_line_decoder(tiny_vocab, kind):
                              config)
         for _ in range(12):
             step = prefixes[:, -1:]
-            logits, _ = decoder_forward(Batch(batch.src_ids, step, step, batch.src_mask,
-                                              np.ones_like(step, dtype=bool)),
+            logits, _ = decoder_forward(Batch(batch.src_ids, step, step),
                                         state, params, config)
             for r in range(2):
                 ref, _ = straight_line_decoder(prefixes[r], enc_ref[r], batch.src_mask[r],
@@ -352,8 +352,7 @@ def test_reorder_carries_each_rows_source_mask(tiny_vocab, kind):
         full, full_cross = model_forward(forced, params, config)
         state.reorder(np.asarray(parents))
         tok = forced.tgt_in_ids[:, pos:pos + 1]
-        real = np.ones_like(tok, dtype=bool)
-        logits, cross = decoder_forward(Batch(tok[:, :0], tok, tok, real[:, :0], real),
+        logits, cross = decoder_forward(Batch(tok[:, :0], tok, tok),
                                         state, params, config)
         assert np.allclose(logits.data[:, 0], full.data[:, pos], rtol=0.0, atol=1e-12)
         pad = ~batch.src_mask[rows]
@@ -384,8 +383,7 @@ def test_encoder_rejects_overlong_sequence(tiny_vocab):
 def test_encoder_rejects_empty_source(tiny_setup):
     params, config, _ = tiny_setup
     empty = Batch(np.zeros((1, 0), dtype=np.int64), np.ones((1, 2), dtype=np.int64),
-                  np.ones((1, 2), dtype=np.int64), np.zeros((1, 0), dtype=bool),
-                  np.ones((1, 2), dtype=bool))
+                  np.ones((1, 2), dtype=np.int64))
     with pytest.raises(ShapeError):
         model_forward(empty, params, config)
 
@@ -421,27 +419,32 @@ def test_residual_identity_between_encoder_kinds(tiny_vocab):
 
 
 def _padded_copy(batch, extra_src, extra_tgt):
-    def pad(a, n, value=0):
-        width = [(0, 0), (0, n)]
-        return np.pad(a, width, constant_values=value)
+    def pad(a, n):
+        return np.pad(a, [(0, 0), (0, n)], constant_values=PAD_ID)
 
-    return Batch(pad(batch.src_ids, extra_src, PAD_ID),
-                 pad(batch.tgt_in_ids, extra_tgt, PAD_ID),
-                 pad(batch.tgt_out_ids, extra_tgt, PAD_ID),
-                 pad(batch.src_mask, extra_src, False),
-                 pad(batch.tgt_mask, extra_tgt, False))
+    return Batch(pad(batch.src_ids, extra_src), pad(batch.tgt_in_ids, extra_tgt),
+                 pad(batch.tgt_out_ids, extra_tgt))
+
+
+_ABCD = st.text("abcd", max_size=6)
 
 
 @pytest.mark.invariant
 @pytest.mark.parametrize("kind", ["standard", "conv"])
-def test_padding_invariance(tiny_vocab, kind):
-    """Outputs at real positions do not depend on trailing pad width."""
-    config = ModelConfig(vocab_size=tiny_vocab.size, d_model=16, n_layers=2,
+@settings(derandomize=True, deadline=None)
+@given(pairs=st.lists(st.tuples(_ABCD, _ABCD), min_size=1, max_size=4),
+       extra_src=st.integers(0, 3), extra_tgt=st.integers(0, 3))
+@example(pairs=[("abcd", "dcba"), ("abc", "cab")], extra_src=3, extra_tgt=2)
+def test_padding_invariance(kind, pairs, extra_src, extra_tgt):
+    """Encoder outputs and logits at every position of a batch do not depend
+    on how many trailing pad columns it carries."""
+    vocab = build_vocab([ParallelCorpus(pairs=[("abcd", "abcd")])], 1)
+    config = ModelConfig(vocab_size=vocab.size, d_model=16, n_layers=2,
                          n_heads=2, d_ff=32, max_len=64, dropout=0.0,
                          encoder_kind=kind)
     params = build_params(config, seed=8)
-    batch = make_batch([("abcd", "dcba"), ("abc", "cab")], tiny_vocab)
-    padded = _padded_copy(batch, 3, 2)
+    batch = make_batch(pairs, vocab)
+    padded = _padded_copy(batch, extra_src, extra_tgt)
     enc = encoder_forward(batch, params, config).data
     enc_p = encoder_forward(padded, params, config).data
     t_s = batch.src_ids.shape[1]
@@ -463,8 +466,7 @@ def test_decoder_causality(tiny_setup):
         for replacement in range(4, config.vocab_size):
             if replacement == batch.tgt_in_ids[0, p]:
                 continue
-            perturbed = Batch(batch.src_ids, batch.tgt_in_ids.copy(),
-                              batch.tgt_out_ids, batch.src_mask, batch.tgt_mask)
+            perturbed = Batch(batch.src_ids, batch.tgt_in_ids.copy(), batch.tgt_out_ids)
             perturbed.tgt_in_ids[0, p] = replacement
             logits, _ = model_forward(perturbed, params, config)
             assert np.array_equal(base.data[0, :p], logits.data[0, :p])

@@ -332,6 +332,9 @@ def _op_cases():
         ("mean", lambda p: tsum(mul(p["x"], p["x"])) * (1.0 / p["x"].size), {"x": (3, 4)}),
         ("broadcast_add", lambda p: tsum(mul(add(p["x"], p["b"]), p["x"])),
          {"x": (3, 4), "b": (4,)}),
+        # the generator is built inside f, so every evaluation draws the same mask
+        ("dropout", lambda p: tsum(mul(dropout(p["x"], 0.3, rand_rng(17)), p["y"])),
+         {"x": (4, 5), "y": (4, 5)}),
     ]
 
 

@@ -1,5 +1,6 @@
 """Loss, optimizer, schedule, the train loop, and checkpointing."""
 
+import dataclasses
 import io
 import json
 import struct
@@ -273,12 +274,14 @@ def test_train_zero_epochs_is_noop(tmp_path):
 def test_train_same_seed_is_bit_identical():
     corpus, vocab, config = _micro_task()
     tc = TrainConfig(epochs=2, max_tokens=64, warmup=20, seed=4)
-    runs = []
-    for _ in range(2):
-        params = build_params(config, seed=0)
-        log = train(params, config, tc, corpus, vocab)
-        runs.append([s.loss for s in log.steps])
-    assert runs[0] == runs[1]
+    for rate in (0.0, 0.1):
+        config = dataclasses.replace(config, dropout=rate)
+        runs = []
+        for _ in range(2):
+            params = build_params(config, seed=0)
+            log = train(params, config, tc, corpus, vocab)
+            runs.append([s.loss for s in log.steps])
+        assert runs[0] == runs[1], rate
 
 
 def test_train_lowers_validation_loss():
@@ -315,6 +318,38 @@ def test_train_aborts_on_non_finite_with_restore():
         with pytest.raises(RuntimeError) as err:
             train(params, config, tc, corpus, vocab)
     assert "restored" in str(err.value)
+
+
+def test_train_abort_restores_adam_state_with_parameters(tmp_path, monkeypatch):
+    """A failure in the middle of an epoch leaves the caller's parameters and
+    Adam state both as ``latest.ckpt`` holds them, so a resume from that
+    pair follows the uninterrupted trajectory."""
+    corpus, vocab, config = _micro_task()
+    tc = TrainConfig(epochs=3, max_tokens=64, warmup=10, seed=0)
+    params = build_params(config, seed=0)
+    adam = AdamState.for_params(params)
+    log = TrainLog()
+    real = charnmt.training.masked_cross_entropy
+    calls_after_epoch_0 = []
+
+    def failing(*args):
+        if log.epochs:  # epoch 0 is complete and checkpointed
+            calls_after_epoch_0.append(1)
+            if len(calls_after_epoch_0) == 2:
+                raise NonFiniteError("injected")
+        return real(*args)
+
+    monkeypatch.setattr(charnmt.training, "masked_cross_entropy", failing)
+    with pytest.raises(RuntimeError, match="restored"):
+        train(params, config, tc, corpus, vocab, out_dir=tmp_path, adam=adam, log=log)
+    assert log.steps[-1].epoch == 1  # one Adam step of epoch 1 ran before the failure
+    saved = checkpoint_load(tmp_path / "latest.ckpt")
+    assert saved.epoch == 1 and saved.adam.t == log.steps[-1].step - 1
+    for name, t in params.items():
+        assert np.array_equal(t.data, saved.params[name].data), name
+    assert adam.t == saved.adam.t
+    assert np.array_equal(adam.m, saved.adam.m)
+    assert np.array_equal(adam.v, saved.adam.v)
 
 
 def test_train_log_csv_layout(tmp_path):
@@ -518,17 +553,19 @@ def test_checkpoint_resume_equivalence(tmp_path):
     uninterrupted run bit for bit."""
     corpus, vocab, config = _micro_task()
     tc = TrainConfig(epochs=2, max_tokens=64, warmup=20, seed=7)
-
-    straight = build_params(config, seed=3)
-    train(straight, config, tc, corpus, vocab)
-
-    resumed = build_params(config, seed=3)
     tc_first = TrainConfig(epochs=1, max_tokens=64, warmup=20, seed=7)
-    train(resumed, config, tc_first, corpus, vocab, out_dir=tmp_path)
-    bundle = checkpoint_load(tmp_path / "latest.ckpt")
-    assert bundle.epoch == 1
-    train(bundle.params, bundle.config, tc, corpus, vocab,
-          adam=bundle.adam, start_epoch=bundle.epoch)
+    for rate in (0.0, 0.1):
+        config = dataclasses.replace(config, dropout=rate)
+        straight = build_params(config, seed=3)
+        train(straight, config, tc, corpus, vocab)
 
-    for name, t in straight.items():
-        assert np.array_equal(t.data, bundle.params[name].data), name
+        resumed = build_params(config, seed=3)
+        out_dir = tmp_path / f"dropout{rate}"
+        train(resumed, config, tc_first, corpus, vocab, out_dir=out_dir)
+        bundle = checkpoint_load(out_dir / "latest.ckpt")
+        assert bundle.epoch == 1
+        train(bundle.params, bundle.config, tc, corpus, vocab,
+              adam=bundle.adam, start_epoch=bundle.epoch)
+
+        for name, t in straight.items():
+            assert np.array_equal(t.data, bundle.params[name].data), (rate, name)
