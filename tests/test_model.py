@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from charnmt.data import (BOS_ID, PAD_ID, Batch, ParallelCorpus, batch_from_rows, build_vocab,
-                          encode_pair)
+from charnmt.data import BOS_ID, PAD_ID, Batch, ParallelCorpus, build_vocab
 from charnmt.model import (DecoderState, ModelConfig, build_params, conv_sub_block,
                            decoder_forward, encoder_forward,
                            extract_cross_attention, model_forward,
