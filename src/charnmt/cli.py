@@ -193,7 +193,7 @@ def cmd_translate(args) -> None:
         hyps = [beam_decode(bundle.params, bundle.config, line, bundle.vocab, dcfg)
                 for line in lines]
     else:
-        hyps = greedy_decode_batch(bundle.params, bundle.config, lines, bundle.vocab, dcfg)
+        hyps = greedy_decode_batch(bundle.params, bundle.config, lines, bundle.vocab)
     write_lines(args.out, hyps)
     if args.dump_attn:
         dump_dir = Path(args.dump_attn)

@@ -395,7 +395,8 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup into ``weight`` [V, d] by an integer id array."""
     ids = np.asarray(ids)
     if np.any(ids < 0) or np.any(ids >= weight.shape[0]):
-        raise ShapeError("embedding id out of range")
+        bad = ids[(ids < 0) | (ids >= weight.shape[0])].flat[0]
+        raise ShapeError(f"embedding id {bad} out of range for {weight.shape[0]} rows")
     out = weight.data[ids]
     d = weight.shape[1]
 

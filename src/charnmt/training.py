@@ -19,7 +19,7 @@ import numpy as np
 
 from .bleu import DEFAULT_TOKENIZER, TOKENIZERS, corpus_bleu
 from .data import Batch, ParallelCorpus, Vocabulary, make_batches, write_lines
-from .decoding import DecodeConfig, greedy_decode_batch
+from .decoding import greedy_decode_batch
 from .model import ModelConfig, check_field_types, model_forward, param_shapes
 from .tensor import (
     MaskError,
@@ -218,8 +218,7 @@ def evaluate(params: ParameterSet, config: ModelConfig, val_sets: dict[str, Para
                                             train_config.label_smoothing)
                 losses.append(loss.item())
                 weights.append(batch.n_target_tokens)
-            hyps = greedy_decode_batch(params, config, [s for s, _ in corpus.pairs],
-                                       vocab, DecodeConfig())
+            hyps = greedy_decode_batch(params, config, [s for s, _ in corpus.pairs], vocab)
             bleus[name] = corpus_bleu(hyps, [t for _, t in corpus.pairs],
                                       tokenizer=train_config.bleu_mode)
     val_loss = float(np.average(losses, weights=weights)) if losses else float("nan")
@@ -237,10 +236,11 @@ def train(params: ParameterSet, config: ModelConfig, train_config: TrainConfig,
     Batch order and dropout are drawn from child seeds of
     (train_config.seed, epoch), so a run resumed from an epoch-boundary
     checkpoint (pass ``start_epoch``, ``adam``) continues the exact
-    uninterrupted trajectory. A non-finite loss or gradient aborts with
-    the parameters and ``adam`` restored to the last completed epoch, the
-    pair ``latest.ckpt`` holds; checkpoints already on disk are left in
-    place.
+    uninterrupted trajectory and keeps the ``best.ckpt`` in ``out_dir``
+    until an epoch scores at least as well. A non-finite loss or gradient
+    aborts with the parameters and ``adam`` restored to the last completed
+    epoch, the pair ``latest.ckpt`` holds; checkpoints already on disk are
+    left in place.
     """
     adam = adam if adam is not None else AdamState.for_params(params)
     log = log if log is not None else TrainLog()
@@ -249,6 +249,11 @@ def train(params: ParameterSet, config: ModelConfig, train_config: TrainConfig,
         out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     best_bleu = -1.0
+    if start_epoch > 0 and val_sets and out_dir is not None and (out_dir / "best.ckpt").exists():
+        # evaluate is deterministic: this is the score best.ckpt was saved with
+        _, bleus = evaluate(checkpoint_load(out_dir / "best.ckpt").params, config, val_sets,
+                            vocab, train_config)
+        best_bleu = float(np.mean(list(bleus.values())))
     try:
         for epoch in range(start_epoch, train_config.epochs):
             # what an abort restores: the state after the last completed epoch
@@ -418,6 +423,9 @@ def _checkpoint_read(path) -> CheckpointBundle:
         raise ValueError(f"checkpoint header 'vocab_chars' must be a string, "
                          f"got {header['vocab_chars']!r}")
     vocab = Vocabulary(chars=tuple(header["vocab_chars"]))
+    if vocab.size != config.vocab_size:
+        raise ValueError(f"checkpoint header 'vocab_chars' gives {vocab.size} ids, "
+                         f"the model config's vocab_size is {config.vocab_size}")
     adam_header = header["adam"]
     if not (adam_header is None or isinstance(adam_header, dict) and "t" in adam_header):
         raise ValueError(f"checkpoint header 'adam' must be null or an object with 't', "

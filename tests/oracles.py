@@ -210,10 +210,10 @@ def adam_and_clip(weights: dict, m: dict, v: dict, t: int, grads: dict, lr: floa
 # decoding
 # ---------------------------------------------------------------------------
 
-def exhaustive_best_sequence(params, config, src: str, vocab, length_penalty: float):
+def exhaustive_best_sequence(params, config, src: str, vocab):
     """Enumerate every id sequence the decoder could emit (EOS- or
     cap-terminated) and return the best one under the beam scoring rule:
-    max logP / len^penalty, ties to the lexicographically smallest ids."""
+    max logP, ties to the lexicographically smallest ids."""
     from charnmt.data import Batch, encode
     from charnmt.model import DecoderState, decoder_forward, encoder_forward
     from charnmt.tensor import Tensor, no_grad
@@ -253,11 +253,7 @@ def exhaustive_best_sequence(params, config, src: str, vocab, length_penalty: fl
                         nxt.append((seq, seq_logp))
             frontier = nxt
 
-    def rank(leaf):
-        ids, logp = leaf
-        return (-(logp / len(ids) ** length_penalty), ids)
-
-    best_ids, best_logp = min(leaves, key=rank)
+    best_ids, best_logp = min(leaves, key=lambda leaf: (-leaf[1], leaf[0]))
     ids = list(best_ids)
     if EOS_ID in ids:
         ids = ids[:ids.index(EOS_ID)]
@@ -265,11 +261,11 @@ def exhaustive_best_sequence(params, config, src: str, vocab, length_penalty: fl
     return decode_ids(ids, vocab), best_logp
 
 
-def uncached_search(params, config, src: str, vocab, width: int, length_penalty: float):
+def uncached_search(params, config, src: str, vocab, width: int):
     """Beam search that re-runs the decoder over the whole prefix of every
     live hypothesis at every step, under the package's rules: each live
     hypothesis expands to every token, finished ones keep competing with
-    frozen scores, the kept ``width`` are the smallest (-logP / len^penalty,
+    frozen log-probabilities, the kept ``width`` are the smallest (-logP,
     ids), and the search ends once every kept hypothesis has emitted EOS or
     reached the cap. Returns the best id sequence (EOS included) and the
     number of steps that had several live hypotheses and after which the
@@ -288,16 +284,16 @@ def uncached_search(params, config, src: str, vocab, width: int, length_penalty:
         no_src = np.zeros((len(tgt_in), 0), dtype=np.int64)
         return Batch(no_src, tgt_in, tgt_in)
 
-    beam = [(0.0, (), 0.0, False, None)]  # (-score, ids, logP, finished, parent)
+    beam = [((), 0.0, False, None)]  # (ids, logP, finished, parent)
     reparented = 0
     with no_grad():
         bos = np.full((1, 1), BOS_ID, dtype=np.int64)
         enc = encoder_forward(Batch(src_row, bos, bos), params, config)
         while True:
-            live = [h for h in beam if not h[3]]
+            live = [h for h in beam if not h[2]]
             if not live:
                 break
-            tgt_in = np.asarray([(BOS_ID,) + h[1] for h in live], dtype=np.int64)
+            tgt_in = np.asarray([(BOS_ID,) + h[0] for h in live], dtype=np.int64)
             enc_rep = Tensor(np.repeat(enc.data, len(live), axis=0))
             mask_rep = np.repeat(src_mask, len(live), axis=0)
             state = DecoderState(enc_rep, mask_rep, params, config)  # fresh: the whole prefix runs
@@ -305,17 +301,16 @@ def uncached_search(params, config, src: str, vocab, width: int, length_penalty:
             last = logits.data[:, -1, :]
             last = last - last.max(axis=-1, keepdims=True)
             logp_tok = last - np.log(np.exp(last).sum(axis=-1, keepdims=True))
-            cands = [h for h in beam if h[3]]
-            for row, (_, ids, logp, _, _) in enumerate(live):
+            cands = [h for h in beam if h[2]]
+            for row, (ids, logp, _, _) in enumerate(live):
                 for tok in range(config.vocab_size):
                     seq = ids + (tok,)
-                    seq_logp = logp + float(logp_tok[row, tok])
-                    cands.append((-(seq_logp / len(seq) ** length_penalty), seq, seq_logp,
-                                   tok == EOS_ID or len(seq) >= cap, row))
-            beam = sorted(cands, key=lambda h: (h[0], h[1]))[:width]
-            parents = [h[4] for h in beam if not h[3]]
+                    cands.append((seq, logp + float(logp_tok[row, tok]),
+                                  tok == EOS_ID or len(seq) >= cap, row))
+            beam = sorted(cands, key=lambda h: (-h[1], h[0]))[:width]
+            parents = [h[3] for h in beam if not h[2]]
             reparented += len(live) > 1 and parents != list(range(len(parents)))
-    return beam[0][1], reparented
+    return beam[0][0], reparented
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
 """End-to-end command-line behavior, driven in-process through main()."""
 
 import json
+import re
 import subprocess
 import sys
 import unicodedata
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from charnmt.alignment import cross_attention_maps
-from charnmt.cli import main, resolve_run_config
+from charnmt.cli import _ENTRY_KEYS, main, resolve_run_config
 from charnmt.data import ParallelCorpus, build_vocab
-from charnmt.decoding import DecodeConfig, greedy_decode_batch
+from charnmt.decoding import greedy_decode_batch
 from charnmt.model import ModelConfig, build_params
 from charnmt.training import checkpoint_load, checkpoint_save
 
@@ -134,6 +136,25 @@ def test_resolve_config_rejects_all_unknown_keys_at_once():
     for key in ("model.d_modell", "model.colour", "extra_section",
                 "data.corpora[0].bad_key"):
         assert key in msg
+
+
+def test_readme_run_config_reference_matches_the_defaults():
+    """The json block under "Run-config reference" in README.md, without its
+    // comments, names every key of every section with the code's default;
+    corpus and validation entries use only the keys an entry may hold."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"### Run-config reference\n.*?```json\n(.*?)```", readme, re.S).group(1)
+    documented = json.loads(re.sub(r"//.*", "", block))
+    defaults = json.loads(json.dumps(resolve_run_config({})))
+    assert documented.keys() == defaults.keys()
+    for section, keys in defaults.items():
+        assert documented[section].keys() == keys.keys(), section
+        for key, value in keys.items():
+            if key not in _ENTRY_KEYS:
+                assert documented[section][key] == value, f"{section}.{key}"
+    for listname, allowed in _ENTRY_KEYS.items():
+        for entry in documented["data"][listname]:
+            assert set(entry) <= set(allowed), listname
 
 
 def test_resolve_config_rejects_non_object_sections():
@@ -401,7 +422,7 @@ def test_translate_matches_library_greedy(tmp_path):
     assert main(["translate", "--ckpt", str(ckpt), "--in", str(infile),
                  "--out", str(outfile)]) == 0
     got = outfile.read_text().splitlines()
-    assert got == greedy_decode_batch(params, config, srcs, vocab, DecodeConfig())
+    assert got == greedy_decode_batch(params, config, srcs, vocab)
 
 
 def test_translit_table_runs_through_vocab_train_and_translate(tmp_path):
@@ -429,7 +450,7 @@ def test_translit_table_runs_through_vocab_train_and_translate(tmp_path):
                  "--out", str(outfile), "--translit", str(table)]) == 0
     bundle = checkpoint_load(run / "latest.ckpt")
     want = greedy_decode_batch(bundle.params, bundle.config, ["qa|qb|", "qb|qb|qa|"],
-                               bundle.vocab, DecodeConfig())
+                               bundle.vocab)
     assert outfile.read_text(encoding="utf-8").splitlines() == want
 
 

@@ -387,6 +387,20 @@ def test_encoder_rejects_empty_source(tiny_setup):
         model_forward(empty, params, config)
 
 
+def test_out_of_range_ids_are_named_by_the_embedding(tiny_setup):
+    """The embedding lookup is the one range check on token ids: a source
+    id >= V, a target id >= V and a negative id each raise a ShapeError
+    naming the id and the table's row count."""
+    params, config, vocab = tiny_setup
+    batch = make_batch([("ab", "ab")], vocab)
+    v = config.vocab_size
+    for field, bad in (("src_ids", v), ("tgt_in_ids", v + 3), ("tgt_in_ids", -2)):
+        ids = {f: getattr(batch, f).copy() for f in ("src_ids", "tgt_in_ids", "tgt_out_ids")}
+        ids[field][0, 1] = bad
+        with pytest.raises(ShapeError, match=rf"^embedding id {bad} out of range for {v} rows$"):
+            model_forward(Batch(**ids), params, config)
+
+
 def test_encoder_is_position_sensitive(tiny_setup):
     params, config, vocab = tiny_setup
     out_ab = encoder_forward(make_batch([("abca", "a")], vocab), params, config)

@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charnmt.model import ModelConfig, build_params
 from charnmt.tensor import (MaskError, NonFiniteError, ParameterSet, ShapeError,
@@ -348,6 +349,89 @@ def test_op_gradients_match_finite_differences(name, f, shapes):
             for k, shape in shapes.items()})
         report = grad_check(f, params, tol=1e-4)
         assert report.passed, (name, trial, report.per_param)
+
+
+_DIMS = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
+_SIZE = st.integers(1, 3)
+
+
+@st.composite
+def _broadcast_pair(draw, keep_one_axis=True):
+    """Two shapes that broadcast together: each side drops some leading axes
+    of one drawn shape and sets some of the others to 1."""
+    full = draw(_DIMS)
+
+    def side():
+        drop = draw(st.integers(0, len(full) - keep_one_axis))
+        return tuple(1 if draw(st.booleans()) else n for n in full[drop:])
+
+    return side(), side()
+
+
+@st.composite
+def _tape_case(draw, op):
+    """A function of a parameter set that applies ``op`` once, and the
+    parameter shapes it takes, drawn for ``op``."""
+    if op in ("add", "mul"):
+        x, y = draw(_broadcast_pair())
+        fn = add if op == "add" else mul
+        return (lambda p: fn(p["x"], p["y"])), {"x": x, "y": y}
+    if op == "matmul":
+        x, y = draw(_broadcast_pair(keep_one_axis=False))
+        m, k, n = draw(_SIZE), draw(_SIZE), draw(_SIZE)
+        return (lambda p: matmul(p["x"], p["y"])), {"x": x + (m, k), "y": y + (k, n)}
+    if op == "softmax_lastdim":
+        shape = draw(_DIMS) + (draw(st.integers(1, 4)),)
+        keep = draw(st.lists(st.booleans(), min_size=math.prod(shape),
+                             max_size=math.prod(shape)))
+        mask = np.asarray(keep).reshape(shape)
+        mask[~mask.any(axis=-1), draw(st.integers(0, shape[-1] - 1))] = True
+        return (lambda p: softmax_lastdim(p["x"], mask)), {"x": shape}
+    if op == "layer_norm":
+        d = draw(st.integers(3, 5))
+        x = draw(st.lists(_SIZE, max_size=2).map(tuple)) + (d,)
+        return (lambda p: layer_norm(p["x"], p["g"], p["b"])), {"x": x, "g": (d,), "b": (d,)}
+    if op == "conv1d_same":
+        w, d_in, d_out = draw(st.sampled_from([1, 3, 5])), draw(_SIZE), draw(_SIZE)
+        lead = draw(st.lists(_SIZE, min_size=1, max_size=2).map(tuple))
+        x = lead + (draw(st.integers(1, 4)), d_in)
+        return ((lambda p: conv1d_same(p["x"], p["k"], p["b"])),
+                {"x": x, "k": (w, d_in, d_out), "b": (d_out,)})
+    if op == "concat":
+        base = draw(_DIMS)
+        axis = draw(st.integers(-len(base), len(base) - 1))
+        sizes = draw(st.lists(_SIZE, min_size=1, max_size=3))
+        shapes = {f"x{i}": base[:axis % len(base)] + (n,) + base[axis % len(base) + 1:]
+                  for i, n in enumerate(sizes)}
+        return (lambda p: concat([p[name] for name in shapes], axis=axis)), shapes
+    if op == "transpose":
+        x = draw(_DIMS)
+        axes = tuple(draw(st.permutations(range(len(x)))))
+        return (lambda p: transpose(p["x"], axes)), {"x": x}
+    if op == "reshape":
+        x = draw(_DIMS)
+        shape = draw(st.sampled_from([tuple(draw(st.permutations(x))), (-1,), (1, -1)]))
+        return (lambda p: reshape(p["x"], shape)), {"x": x}
+    assert op == "tsum"
+    return (lambda p: mul(tsum(p["x"]), tsum(mul(p["x"], p["x"])))), {"x": draw(_DIMS)}
+
+
+@pytest.mark.parametrize("op", ["add", "mul", "matmul", "softmax_lastdim", "layer_norm",
+                                "conv1d_same", "concat", "transpose", "reshape", "tsum"])
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(data=st.data())
+def test_tape_op_gradients_over_drawn_shapes(op, data):
+    """Each differentiable op's backward agrees with central differences
+    over drawn shapes, broadcasts, masks and windows; every output entry
+    reaches the checked sum through its own fixed random weight."""
+    fn, shapes = data.draw(_tape_case(op))
+    rng = rand_rng(data.draw(st.integers(0, 2**16)))
+    params = ParameterSet({name: Tensor(rng.normal(size=shape), requires_grad=True)
+                           for name, shape in shapes.items()})
+    with no_grad():
+        weight = Tensor(rng.normal(size=fn(params).shape))
+    report = grad_check(lambda p: tsum(mul(fn(p), weight)), params, tol=1e-4)
+    assert report.passed, (op, shapes, report.per_param)
 
 
 def test_embedding_gradients():

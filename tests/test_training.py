@@ -526,6 +526,8 @@ _HEADER_DAMAGES = {
     "no-config": (lambda h: h.pop("config"), "no 'config'"),
     "no-adam": (lambda h: h.pop("adam"), "no 'adam'"),
     "int-vocab-chars": (lambda h: h.update(vocab_chars=5), "'vocab_chars'"),
+    "short-vocab-chars": (lambda h: h.update(vocab_chars=h["vocab_chars"][:-1]),
+                          "'vocab_chars'"),
     "empty-adam": (lambda h: h.update(adam={}), "'adam'"),
     "list-adam": (lambda h: h.update(adam=[1]), "'adam'"),
     "string-adam-t": (lambda h: h["adam"].update(t="x"), "'adam.t'"),
@@ -569,3 +571,32 @@ def test_checkpoint_resume_equivalence(tmp_path):
 
         for name, t in straight.items():
             assert np.array_equal(t.data, bundle.params[name].data), (rate, name)
+
+
+def test_resumed_run_keeps_its_best_checkpoint(tmp_path, monkeypatch):
+    """A run stopped after epoch 1 and resumed leaves the ``best.ckpt`` of
+    the uninterrupted run: a later epoch that scores lower overwrites it
+    in neither."""
+    corpus, vocab, config = _micro_task()
+    val = {"val": ParallelCorpus(pairs=corpus.pairs[:4])}
+    tc = TrainConfig(epochs=2, max_tokens=64, warmup=20, seed=7)
+    tc_first = dataclasses.replace(tc, epochs=1)
+    epoch1 = build_params(config, seed=3)
+    train(epoch1, config, tc_first, corpus, vocab)
+
+    def scored(params, config, val_sets, vocab, train_config):
+        first = all(np.array_equal(t.data, epoch1[n].data) for n, t in params.items())
+        return 0.0, {"val": 50.0 if first else 10.0}
+
+    monkeypatch.setattr(charnmt.training, "evaluate", scored)
+    straight, resumed = tmp_path / "straight", tmp_path / "resumed"
+    train(build_params(config, seed=3), config, tc, corpus, vocab, val_sets=val,
+          out_dir=straight)
+    train(build_params(config, seed=3), config, tc_first, corpus, vocab, val_sets=val,
+          out_dir=resumed)
+    bundle = checkpoint_load(resumed / "latest.ckpt")
+    train(bundle.params, bundle.config, tc, corpus, vocab, val_sets=val, out_dir=resumed,
+          adam=bundle.adam, start_epoch=bundle.epoch)
+    assert checkpoint_load(straight / "best.ckpt").epoch == 1
+    assert checkpoint_load(resumed / "latest.ckpt").epoch == 2
+    assert (resumed / "best.ckpt").read_bytes() == (straight / "best.ckpt").read_bytes()
