@@ -42,6 +42,8 @@ from .tensor import (
 )
 
 ENCODER_KINDS = ("standard", "conv")
+CONV_WINDOWS = (3, 5, 7)  # the conv block's parallel branches, concatenated in this order
+FUSE_WINDOW = 3  # the convolution that fuses them
 
 # what a config field declared with each scalar type accepts, and its name in errors
 _FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
@@ -69,38 +71,24 @@ class ModelConfig:
     n_heads: int = 8
     d_ff: int = 0  # 0 resolves to 4 * d_model
     encoder_kind: str = "standard"
-    conv_windows: tuple[int, ...] = (3, 5, 7)
-    fuse_window: int = 3
     dropout: float = 0.1
     max_len: int = 512
 
     def __post_init__(self):
         check_field_types(self)
         for name, least in (("vocab_size", 1), ("d_model", 1), ("n_layers", 1), ("n_heads", 1),
-                            ("d_ff", 0), ("fuse_window", 1), ("max_len", 1)):
+                            ("d_ff", 0), ("max_len", 1)):
             value = getattr(self, name)
             if value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.d_ff == 0:
             self.d_ff = 4 * self.d_model
-        if (not isinstance(self.conv_windows, (list, tuple))
-                or not all(isinstance(w, numbers.Integral) and not isinstance(w, bool)
-                           for w in self.conv_windows)):
-            raise ValueError(f"conv_windows must be a list of integers, got {self.conv_windows!r}")
-        self.conv_windows = tuple(sorted(int(w) for w in self.conv_windows))
         if self.encoder_kind not in ENCODER_KINDS:
             raise ValueError(f"encoder_kind must be one of {ENCODER_KINDS}")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if self.d_model % 2 != 0:
             raise ValueError("d_model must be even for sinusoidal positions")
-        for w in self.conv_windows + (self.fuse_window,):
-            if w % 2 == 0 or w < 1:
-                raise ValueError("conv windows must be odd and >= 1")
-        if self.encoder_kind == "conv" and not self.conv_windows:
-            raise ValueError("conv_windows must name at least one window for the conv encoder")
-        if len(set(self.conv_windows)) != len(self.conv_windows):
-            raise ValueError(f"conv windows must be distinct, got {self.conv_windows}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 
@@ -141,11 +129,10 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     }
     for i in range(config.n_layers):
         if config.encoder_kind == "conv":
-            for w in config.conv_windows:
+            for w in CONV_WINDOWS:
                 shapes[f"enc.{i}.conv.w{w}.weight"] = (w, d, d)
                 shapes[f"enc.{i}.conv.w{w}.bias"] = (d,)
-            n_in = len(config.conv_windows) * d
-            shapes[f"enc.{i}.conv.fuse.weight"] = (config.fuse_window, n_in, d)
+            shapes[f"enc.{i}.conv.fuse.weight"] = (FUSE_WINDOW, len(CONV_WINDOWS) * d, d)
             shapes[f"enc.{i}.conv.fuse.bias"] = (d,)
         shapes.update(_attn_shapes(f"enc.{i}.attn", d))
         shapes.update(_norm_shapes(f"enc.{i}.attn_norm", d))
@@ -262,8 +249,7 @@ def multi_head_attention(x_q: Tensor, x_kv: Tensor, params: ParameterSet, prefix
                    n_heads, mask)
 
 
-def conv_sub_block(m: Tensor, params: ParameterSet, prefix: str, windows: tuple[int, ...],
-                   pad_mask: np.ndarray) -> Tensor:
+def conv_sub_block(m: Tensor, params: ParameterSet, prefix: str, pad_mask: np.ndarray) -> Tensor:
     """Convolutional sub-block: m + fuse(concat(conv_w(m) for each window)).
 
     All convolutions are same-padded, linear, and map d_model channels to
@@ -272,12 +258,12 @@ def conv_sub_block(m: Tensor, params: ParameterSet, prefix: str, windows: tuple[
     positions of the conv input are zeroed (``pad_mask`` [B, T], True =
     real) so outputs at real positions do not depend on how much trailing
     padding a batch carries; the residual keeps ``m`` untouched. The
-    branches are concatenated in the order of ``windows``.
+    branches are concatenated in the order of ``CONV_WINDOWS``.
     """
     keep = Tensor(pad_mask[..., None].astype(float))
     x = m * keep
     branches = [conv1d_same(x, params[f"{prefix}.w{w}.weight"], params[f"{prefix}.w{w}.bias"])
-                for w in windows]
+                for w in CONV_WINDOWS]
     fused_in = concat(branches, axis=-1) * keep
     fused = conv1d_same(fused_in, params[f"{prefix}.fuse.weight"], params[f"{prefix}.fuse.bias"])
     return m + fused
@@ -327,7 +313,7 @@ def encoder_forward(batch, params: ParameterSet, config: ModelConfig,
     key_mask = src_mask[:, None, None, :]  # [B,1,1,T_s]
     for i in range(config.n_layers):
         if config.encoder_kind == "conv":
-            x = conv_sub_block(x, params, f"enc.{i}.conv", config.conv_windows, src_mask)
+            x = conv_sub_block(x, params, f"enc.{i}.conv", src_mask)
         a, _ = multi_head_attention(x, x, params, f"enc.{i}.attn", config.n_heads, key_mask)
         x = _sublayer(x, a, params, f"enc.{i}.attn_norm", config, rng)
         f = _ffn(x, params, f"enc.{i}.ff")

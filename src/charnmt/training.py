@@ -20,7 +20,14 @@ import numpy as np
 from .bleu import DEFAULT_TOKENIZER, TOKENIZERS, corpus_bleu
 from .data import Batch, ParallelCorpus, Vocabulary, make_batches, write_lines
 from .decoding import greedy_decode_batch
-from .model import ModelConfig, check_field_types, model_forward, param_shapes
+from .model import (
+    CONV_WINDOWS,
+    FUSE_WINDOW,
+    ModelConfig,
+    check_field_types,
+    model_forward,
+    param_shapes,
+)
 from .tensor import (
     MaskError,
     NonFiniteError,
@@ -64,6 +71,7 @@ def masked_cross_entropy(logits: Tensor, tgt_out: np.ndarray, tgt_mask: np.ndarr
 # ---------------------------------------------------------------------------
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-9  # the Transformer's Adam
+CLIP_NORM = 1.0  # the gradient's global L2 norm is clipped to this
 
 
 @dataclass
@@ -111,8 +119,8 @@ def lr_at_step(step: int, d_model: int, warmup: int) -> float:
     return d_model ** -0.5 * min(step ** -0.5, step * warmup ** -1.5)
 
 
-def clip_grad_norm(params: ParameterSet, max_norm: float) -> float:
-    """Scale the gradient buffer so its global L2 norm is at most max_norm.
+def clip_grad_norm(params: ParameterSet) -> float:
+    """Scale the gradient buffer so its global L2 norm is at most CLIP_NORM.
     Returns the pre-clip norm."""
     # per-parameter sums added in name order: one sum over the whole buffer
     # rounds differently and would move every training trajectory
@@ -120,8 +128,8 @@ def clip_grad_norm(params: ParameterSet, max_norm: float) -> float:
     for g in params.views(params.grad).values():
         total += float((g * g).sum())
     norm = total ** 0.5
-    if np.isfinite(norm) and norm > max_norm:
-        params.grad *= max_norm / norm
+    if np.isfinite(norm) and norm > CLIP_NORM:
+        params.grad *= CLIP_NORM / norm
     return norm
 
 
@@ -136,7 +144,6 @@ class TrainConfig:
     warmup: int = 400
     seed: int = 0
     label_smoothing: float = 0.1
-    clip_norm: float = 1.0
     bleu_mode: str = DEFAULT_TOKENIZER
     early_stop_bleu: float = 0.0   # > 0: stop once every val set clears it
 
@@ -148,8 +155,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= {least}, got {value!r}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError("label_smoothing must be in [0, 1)")
-        if not 0.0 < self.clip_norm < np.inf:
-            raise ValueError(f"clip_norm must be finite and positive, got {self.clip_norm}")
         if not 0.0 <= self.early_stop_bleu <= 100.0:
             raise ValueError(f"early_stop_bleu must be in [0, 100], got {self.early_stop_bleu}")
         if self.bleu_mode not in TOKENIZERS:
@@ -162,6 +167,8 @@ class StepRecord:
     epoch: int
     loss: float
     seconds: float
+    lr: float
+    grad_norm: float  # before clipping
 
 
 @dataclass
@@ -181,18 +188,20 @@ class TrainLog:
     epochs: list[EpochRecord] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
-        """step,epoch,loss,val_loss,val_bleu,seconds with one row per step
-        and one validation row per epoch (first validation set's BLEU)."""
-        rows = ["step,epoch,loss,val_loss,val_bleu,seconds"]
+        """step,epoch,loss,val_loss,val_bleu,seconds,lr,grad_norm with one
+        row per step and one validation row per epoch (first validation
+        set's BLEU)."""
+        rows = ["step,epoch,loss,val_loss,val_bleu,seconds,lr,grad_norm"]
         merged = [(s.step, 0, s) for s in self.steps] + [(e.step, 1, e) for e in self.epochs]
         merged.sort(key=lambda r: (r[0], r[1]))
         for _, kind, rec in merged:
             if kind == 0:
-                rows.append(f"{rec.step},{rec.epoch},{rec.loss:.6f},,,{rec.seconds:.3f}")
+                rows.append(f"{rec.step},{rec.epoch},{rec.loss:.6f},,,{rec.seconds:.3f},"
+                            f"{rec.lr:.6g},{rec.grad_norm:.6g}")
             else:
                 bleu = next(iter(rec.val_bleu.values()), float("nan"))
                 rows.append(f"{rec.step},{rec.epoch},,{rec.val_loss:.6f},"
-                            f"{bleu:.4f},{rec.seconds:.3f}")
+                            f"{bleu:.4f},{rec.seconds:.3f},,")
         write_lines(path, rows)
 
     def write_curves_csv(self, path) -> None:
@@ -270,10 +279,10 @@ def train(params: ParameterSet, config: ModelConfig, train_config: TrainConfig,
                 loss = masked_cross_entropy(logits, batch.tgt_out_ids, batch.tgt_mask,
                                             train_config.label_smoothing)
                 loss.backward()
-                clip_grad_norm(params, train_config.clip_norm)
+                grad_norm = clip_grad_norm(params)
                 adam_step(params, adam, lr)
                 log.steps.append(StepRecord(adam.t, epoch, loss.item(),
-                                            time.perf_counter() - t0))
+                                            time.perf_counter() - t0, lr, grad_norm))
             val_loss, val_bleu = (evaluate(params, config, val_sets, vocab, train_config)
                                   if val_sets else (float("nan"), {}))
             log.epochs.append(EpochRecord(adam.t, epoch, val_loss, val_bleu,
@@ -310,6 +319,9 @@ CKPT_MAGIC = b"CXF1"
 CKPT_VERSION = 1
 _F64_TAG = 0  # the record dtype tag of little-endian float64, the only one written
 _F64 = np.dtype("<f8")
+# model config keys that headers written before the conv block's windows
+# became constants carry, each at the one value such a header can hold
+_FORMER_CONFIG_KEYS = {"conv_windows": list(CONV_WINDOWS), "fuse_window": FUSE_WINDOW}
 
 
 @dataclass
@@ -393,8 +405,9 @@ def checkpoint_save(params: ParameterSet, config: ModelConfig, vocab: Vocabulary
 
 def checkpoint_load(path) -> CheckpointBundle:
     """Restore a checkpoint_save file; rejects wrong magic or version, a
-    missing or invalid header field, a truncated or damaged body, and
-    shapes that disagree with the header's architecture, naming the file."""
+    missing or invalid header field, a truncated or damaged body, a
+    duplicate record, bytes after the last record, and records or shapes
+    that disagree with the header's architecture, naming the file."""
     try:
         return _checkpoint_read(path)
     except ValueError as e:
@@ -411,12 +424,24 @@ def _checkpoint_read(path) -> CheckpointBundle:
         (header_len,) = struct.unpack("<I", _read_exact(f, 4))
         header = json.loads(_read_exact(f, header_len).decode("utf-8"))
         (n_records,) = struct.unpack("<I", _read_exact(f, 4))
-        records = dict(_read_record(f) for _ in range(n_records))
+        records: dict[str, np.ndarray] = {}
+        for _ in range(n_records):
+            name, arr = _read_record(f)
+            if name in records:
+                raise ValueError(f"checkpoint holds record '{name}' twice")
+            records[name] = arr
+        trailing = len(f.read())
+        if trailing:
+            raise ValueError(f"checkpoint has {trailing} bytes after its last record")
     for key in ("config", "vocab_chars", "step", "epoch", "adam"):
         if key not in header:
             raise ValueError(f"checkpoint header has no '{key}'")
     try:
-        config = ModelConfig(**header["config"])
+        fields = {**header["config"]}
+        for key, value in _FORMER_CONFIG_KEYS.items():
+            if json.dumps(fields.pop(key, value)) != json.dumps(value):
+                raise ValueError(f"'{key}' must be {value}, the conv block's")
+        config = ModelConfig(**fields)
     except (TypeError, ValueError) as e:
         raise ValueError(f"bad model config in the checkpoint header: {e}") from None
     if not isinstance(header["vocab_chars"], str):
@@ -436,6 +461,12 @@ def _checkpoint_read(path) -> CheckpointBundle:
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise ValueError(f"checkpoint header '{name}' must be an integer >= 0, got {value!r}")
     expected = param_shapes(config)
+    named = {f"{kind}/{n}" for n in expected
+             for kind in (("param",) if adam_header is None else ("param", "adam.m", "adam.v"))}
+    extra = next((key for key in records if key not in named), None)
+    if extra is not None:
+        raise ValueError(f"checkpoint holds record '{extra}', which its header's model "
+                         f"and Adam state do not name")
 
     def record(kind: str, name: str) -> np.ndarray:
         key = f"{kind}/{name}"

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from charnmt.data import ParallelCorpus, batch_from_rows, build_vocab, encode_pair
 from charnmt.model import ModelConfig, build_params
+
+# every property test draws the same examples on every run, however long one takes
+settings.register_profile("charnmt", derandomize=True, deadline=None)
+settings.load_profile("charnmt")
 
 
 @pytest.fixture

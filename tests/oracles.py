@@ -104,10 +104,11 @@ def _sl_attention(x_q, x_kv, w, prefix, n_heads, mask):
     return _sl_linear(merged, w, f"{prefix}.out_proj"), np.stack(attns)
 
 
-def _sl_conv_block(m, w, prefix, windows, pad_mask):
+def _sl_conv_block(m, w, prefix, pad_mask):
+    """The paper's conv block: windows 3, 5 and 7, fused by a window-3 convolution."""
     x = m * pad_mask[:, None] if pad_mask is not None else m
     branches = [brute_conv1d(x, w[f"{prefix}.w{win}.weight"], w[f"{prefix}.w{win}.bias"])
-                for win in windows]
+                for win in (3, 5, 7)]
     fused_in = np.concatenate(branches, axis=-1)
     if pad_mask is not None:
         fused_in = fused_in * pad_mask[:, None]
@@ -134,7 +135,7 @@ def straight_line_encoder(src_ids, src_mask, weights, config) -> np.ndarray:
     x = _sl_embed(src_ids, w, "src_embed", config.d_model, config.max_len)
     for i in range(config.n_layers):
         if config.encoder_kind == "conv":
-            x = _sl_conv_block(x, w, f"enc.{i}.conv", config.conv_windows, src_mask)
+            x = _sl_conv_block(x, w, f"enc.{i}.conv", src_mask)
         a, _ = _sl_attention(x, x, w, f"enc.{i}.attn", config.n_heads, src_mask[None, :])
         x = _sl_sublayer(x, a, w, f"enc.{i}.attn_norm")
         x = _sl_sublayer(x, _sl_ffn(x, w, f"enc.{i}.ff"), w, f"enc.{i}.ff_norm")
@@ -437,7 +438,6 @@ def closed_form_param_count(config) -> int:
 
 def conv_excess_per_layer(config) -> int:
     d = config.d_model
-    per_window = sum(w * d * d + d for w in config.conv_windows)
-    n_branches = len(config.conv_windows)
-    fuse = config.fuse_window * (n_branches * d) * d + d
+    per_window = sum(w * d * d + d for w in (3, 5, 7))
+    fuse = 3 * (3 * d) * d + d  # a window-3 convolution over the three branches
     return per_window + fuse

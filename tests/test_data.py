@@ -4,7 +4,7 @@ import unicodedata
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from charnmt.data import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, ParallelCorpus,
                           TransliterationTable, Vocabulary, batch_from_rows,
@@ -312,7 +312,6 @@ _TEXT = st.text("abcdefgh", max_size=12)
 
 
 @pytest.mark.invariant
-@settings(derandomize=True, deadline=None)
 @given(pairs=st.lists(st.tuples(_TEXT, _TEXT), min_size=1, max_size=30),
        slack=st.integers(0, 40), seed=st.integers(0, 2 ** 32 - 1))
 def test_batches_pack_any_corpus_once_within_budget(pairs, slack, seed):

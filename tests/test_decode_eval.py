@@ -1,9 +1,11 @@
 """Greedy and beam decoding plus corpus BLEU."""
 
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import charnmt.decoding
 from charnmt.alignment import cross_attention_maps
@@ -18,11 +20,12 @@ from oracles import brute_bleu, exhaustive_best_sequence, uncached_search
 from conftest import rand_rng
 
 
-def _toy_model(seed=0, d_model=16, n_layers=1, max_len=64, chars="abcd"):
+def _toy_model(seed=0, d_model=16, n_layers=1, max_len=64, chars="abcd", kind="standard"):
     corpus = ParallelCorpus(pairs=[(chars, chars)])
     vocab = build_vocab([corpus], 1)
     config = ModelConfig(vocab_size=vocab.size, d_model=d_model, n_layers=n_layers,
-                         n_heads=2, d_ff=32, max_len=max_len, dropout=0.0)
+                         n_heads=2, d_ff=32, max_len=max_len, dropout=0.0,
+                         encoder_kind=kind)
     return build_params(config, seed=seed), config, vocab
 
 
@@ -171,6 +174,22 @@ def test_cached_search_emits_the_uncached_tokens(monkeypatch, width):
             assert ids == want, (seed, src)
             reparented += moved
     assert reparented > 0 or width == 1
+
+
+@pytest.mark.parametrize("kind", ["standard", "conv"])
+@pytest.mark.parametrize("width", [1, 2, 4])
+@settings(max_examples=40)
+@given(srcs=st.lists(st.text("abcd", min_size=1, max_size=6), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 16))
+def test_search_over_many_lines_equals_one_search_per_line(kind, width, srcs, seed):
+    """One search over a batch of lines emits, token for token, what one
+    search per line emits: rows of unequal length and cap, finishing at
+    different steps, do not disturb one another."""
+    params, config, vocab = _toy_model(seed=seed, n_layers=2, max_len=20, kind=kind)
+    with mock.patch.object(charnmt.decoding, "decode", lambda ids, vocab: tuple(ids)):
+        together = charnmt.decoding._search(params, config, srcs, vocab, width)
+        alone = [charnmt.decoding._search(params, config, [s], vocab, width)[0] for s in srcs]
+    assert together == alone
 
 
 FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixture"

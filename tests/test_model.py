@@ -5,7 +5,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from charnmt.data import BOS_ID, PAD_ID, Batch, ParallelCorpus, build_vocab
 from charnmt.model import (DecoderState, ModelConfig, build_params, conv_sub_block,
@@ -32,7 +32,6 @@ def weights_of(params):
 def test_config_defaults_resolve():
     cfg = ModelConfig(vocab_size=10)
     assert cfg.d_ff == 4 * cfg.d_model
-    assert cfg.conv_windows == (3, 5, 7)
 
 
 def test_config_round_trips_through_dict():
@@ -46,16 +45,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(vocab_size=10, d_model=30, n_heads=4)
     with pytest.raises(ValueError):
-        ModelConfig(vocab_size=10, conv_windows=(3, 4, 7))
-    with pytest.raises(ValueError):
-        ModelConfig(vocab_size=10, conv_windows=(3, 3, 5))
-    with pytest.raises(ValueError):
         ModelConfig(vocab_size=10, dropout=1.0)
     with pytest.raises(ValueError):
         ModelConfig(vocab_size=10, encoder_kind="recurrent")
-    with pytest.raises(ValueError) as err:
-        ModelConfig(vocab_size=10, d_model=8, n_heads=2, encoder_kind="conv", conv_windows=())
-    assert "conv_windows" in str(err.value)
     for field, value in (("d_model", 0), ("d_model", -2), ("d_ff", -1), ("d_model", "64")):
         with pytest.raises(ValueError) as err:
             ModelConfig(vocab_size=10, n_heads=1, **{field: value})
@@ -177,16 +169,16 @@ def test_multi_head_zero_output_projection():
 # conv sub-block
 # ---------------------------------------------------------------------------
 
-def _conv_params(d, windows, seed, zero=False):
+def _conv_params(d, seed, zero=False):
     rng = rand_rng(seed)
     tensors = {}
-    for w in windows:
+    for w in (3, 5, 7):
         shape = (w, d, d)
         data = np.zeros(shape) if zero else rng.normal(size=shape) * 0.3
         tensors[f"conv.w{w}.weight"] = Tensor(data, requires_grad=True)
         tensors[f"conv.w{w}.bias"] = Tensor(np.zeros(d) if zero else rng.normal(size=d),
                                             requires_grad=True)
-    fuse_shape = (3, len(windows) * d, d)
+    fuse_shape = (3, 3 * d, d)
     fuse = np.zeros(fuse_shape) if zero else rng.normal(size=fuse_shape) * 0.3
     tensors["conv.fuse.weight"] = Tensor(fuse, requires_grad=True)
     tensors["conv.fuse.bias"] = Tensor(np.zeros(d) if zero else rng.normal(size=d),
@@ -196,15 +188,14 @@ def _conv_params(d, windows, seed, zero=False):
 
 def test_conv_block_zero_weights_is_identity():
     m = Tensor(rand_rng(30).normal(size=(2, 5, 8)))
-    params = _conv_params(8, (3, 5, 7), 0, zero=True)
-    out = conv_sub_block(m, params, "conv", (3, 5, 7), np.ones((2, 5), dtype=bool))
+    params = _conv_params(8, 0, zero=True)
+    out = conv_sub_block(m, params, "conv", np.ones((2, 5), dtype=bool))
     assert np.array_equal(out.data, m.data)
 
 
 def test_conv_block_single_position():
     m = Tensor(rand_rng(31).normal(size=(1, 1, 8)))
-    out = conv_sub_block(m, _conv_params(8, (3, 5, 7), 32), "conv", (3, 5, 7),
-                         np.ones((1, 1), dtype=bool))
+    out = conv_sub_block(m, _conv_params(8, 32), "conv", np.ones((1, 1), dtype=bool))
     assert out.shape == (1, 1, 8)
 
 
@@ -212,20 +203,20 @@ def test_conv_block_matches_straight_line_oracle():
     from oracles import _sl_conv_block
 
     d, t = 8, 5
-    params = _conv_params(d, (3, 5, 7), 33)
+    params = _conv_params(d, 33)
     m = rand_rng(34).normal(size=(1, t, d))
     real = np.ones((1, t), dtype=bool)
-    out = conv_sub_block(Tensor(m), params, "conv", (3, 5, 7), real)
-    ref = _sl_conv_block(m[0], weights_of(params), "conv", (3, 5, 7), real[0])
+    out = conv_sub_block(Tensor(m), params, "conv", real)
+    ref = _sl_conv_block(m[0], weights_of(params), "conv", real[0])
     assert np.allclose(out.data[0], ref, atol=1e-12)
 
 
 def test_conv_block_gradients():
-    params = _conv_params(4, (3, 5), 35)
+    params = _conv_params(4, 35)
     m = Tensor(rand_rng(36).normal(size=(1, 4, 4)), requires_grad=False)
     real = np.ones((1, 4), dtype=bool)
-    report = grad_check(lambda p: tsum(conv_sub_block(m, p, "conv", (3, 5), real) *
-                                       conv_sub_block(m, p, "conv", (3, 5), real))
+    report = grad_check(lambda p: tsum(conv_sub_block(m, p, "conv", real) *
+                                       conv_sub_block(m, p, "conv", real))
                         * (1.0 / m.size),
                         params, tol=1e-4)
     assert report.passed, report.per_param
@@ -247,17 +238,14 @@ def test_encoder_matches_straight_line_oracle(tiny_vocab):
 
 
 def test_conv_encoder_matches_straight_line_oracle(tiny_vocab):
-    # windows given out of order are the same model as sorted ones
-    for windows in ((3, 5, 7), (7, 3, 5)):
-        config = ModelConfig(vocab_size=tiny_vocab.size, d_model=8, n_layers=2,
-                             n_heads=2, d_ff=16, max_len=32, dropout=0.0,
-                             encoder_kind="conv", conv_windows=windows)
-        params = build_params(config, seed=5)
-        batch = make_batch([("abcd", "dcba")], tiny_vocab)
-        enc = encoder_forward(batch, params, config)
-        ref = straight_line_encoder(batch.src_ids[0], batch.src_mask[0],
-                                    weights_of(params), config)
-        assert np.allclose(enc.data[0], ref, atol=1e-12), windows
+    config = ModelConfig(vocab_size=tiny_vocab.size, d_model=8, n_layers=2,
+                         n_heads=2, d_ff=16, max_len=32, dropout=0.0, encoder_kind="conv")
+    params = build_params(config, seed=5)
+    batch = make_batch([("abcd", "dcba")], tiny_vocab)
+    enc = encoder_forward(batch, params, config)
+    ref = straight_line_encoder(batch.src_ids[0], batch.src_mask[0],
+                                weights_of(params), config)
+    assert np.allclose(enc.data[0], ref, atol=1e-12)
 
 
 @pytest.mark.invariant
@@ -444,7 +432,6 @@ _ABCD = st.text("abcd", max_size=6)
 
 @pytest.mark.invariant
 @pytest.mark.parametrize("kind", ["standard", "conv"])
-@settings(derandomize=True, deadline=None)
 @given(pairs=st.lists(st.tuples(_ABCD, _ABCD), min_size=1, max_size=4),
        extra_src=st.integers(0, 3), extra_tgt=st.integers(0, 3))
 @example(pairs=[("abcd", "dcba"), ("abc", "cab")], extra_src=3, extra_tgt=2)
