@@ -36,7 +36,14 @@ from .model import (
     decoder_forward,
     encoder_forward,
 )
-from .tensor import ParameterSet, Tensor, log_softmax_lastdim, no_grad
+from .tensor import (
+    ParameterSet,
+    Tensor,
+    log_softmax_lastdim,
+    no_grad,
+    require_finite,
+    rerun_checked,
+)
 
 
 @dataclass
@@ -57,6 +64,7 @@ def _length_cap(src_len: int, config: ModelConfig) -> int:
     return max(1, min(cap, config.max_len - 1))
 
 
+@rerun_checked
 def _search(params: ParameterSet, config: ModelConfig, srcs: list[str],
             vocab: Vocabulary, width: int) -> list[str]:
     """Beam search of width ``width`` over a batch of sources.
@@ -89,6 +97,7 @@ def _search(params: ParameterSet, config: ModelConfig, srcs: list[str],
             logits, _ = decoder_forward(Batch(tgt_in[:, :0], tgt_in, tgt_in), state, params,
                                         config)
             logp_tok = log_softmax_lastdim(Tensor(logits.data[:, -1, :])).data
+            require_finite("a decoding step's log-probabilities", logp_tok)
             neg_score = np.asarray([h[0] for _, h in live])[:, None] - logp_tok
             # a hypothesis can place only its own top `width` in the beam; keep ties too
             k = min(width, neg_score.shape[1])

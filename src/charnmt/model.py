@@ -32,9 +32,12 @@ from .tensor import (
     embedding,
     init_param,
     layer_norm,
+    linear,
     matmul,
     no_grad,
     relu,
+    require_finite,
+    rerun_checked,
     reshape,
     seed_for_name,
     softmax_lastdim,
@@ -204,7 +207,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
 
 
 def _linear(x: Tensor, params: ParameterSet, prefix: str) -> Tensor:
-    return matmul(x, params[f"{prefix}.weight"]) + params[f"{prefix}.bias"]
+    return linear(x, params[f"{prefix}.weight"], params[f"{prefix}.bias"])
 
 
 def _split_heads(x: Tensor, n_heads: int) -> Tensor:
@@ -406,6 +409,7 @@ def model_forward(batch, params: ParameterSet, config: ModelConfig,
     return decoder_forward(batch, state, params, config, rng)
 
 
+@rerun_checked
 def extract_cross_attention(batch, params: ParameterSet, config: ModelConfig
                             ) -> list[np.ndarray]:
     """Last-layer cross-attention per sentence, averaged over heads.
@@ -416,7 +420,9 @@ def extract_cross_attention(batch, params: ParameterSet, config: ModelConfig
     average.
     """
     with no_grad():
-        _, cross_maps = model_forward(batch, params, config)
+        logits, cross_maps = model_forward(batch, params, config)
+        require_finite("the teacher-forced logits and cross-attention", logits.data,
+                       *(m.data for m in cross_maps))
     last = cross_maps[-1].data.mean(axis=1)  # [B, T_t, T_s]
     out = []
     for row in range(last.shape[0]):

@@ -1,14 +1,26 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Implements exactly the operations the encoder/decoder models need:
-broadcasting elementwise arithmetic, (batched) matmul, masked softmax and
-log-softmax over the last axis, layer normalization, same-padded 1D
-convolution, embedding lookup, dropout, shape ops, and reductions.
-Gradients accumulate with ``+=``; call ``ParameterSet.zero_grad`` between
-optimizer steps. Every op that can turn finite inputs into NaN/Inf checks its
-output and raises instead of propagating silently; ops that only move, select
-or clamp values do not, so a non-finite leaf is caught at the first arithmetic
-op that reads it.
+broadcasting elementwise arithmetic, (batched) matmul, the affine map
+``linear`` (x @ W + b as one op), masked softmax and log-softmax over the
+last axis, layer normalization, same-padded 1D convolution, embedding
+lookup, dropout, shape ops, and reductions.
+
+Gradients: the first gradient that reaches an intermediate tensor is
+copied into a fresh array laid out like its data, and later ones are added
+with ``+=``. A parameter's gradient is a view into its ParameterSet's
+arena, so every gradient is added to it; call ``ParameterSet.zero_grad``
+between optimizer steps.
+
+Finite checks: while a tape is recorded (outside ``no_grad``), every op
+that can turn finite inputs into NaN/Inf checks its output and raises
+instead of propagating silently; ops that only move, select or clamp
+values do not, so a non-finite leaf is caught at the first arithmetic op
+that reads it. Under ``no_grad`` ops skip the check: each caller that runs
+them is wrapped in ``rerun_checked`` and checks its outputs once with
+``require_finite`` (a decoding step's log-probabilities, a teacher-forced
+pass's logits and cross-attention). If one is not finite, the call runs
+again with every op checked, so the error still names the op.
 """
 
 from __future__ import annotations
@@ -18,6 +30,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from functools import wraps
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -37,7 +50,12 @@ class NonFiniteError(FloatingPointError):
     """An op produced NaN or Inf."""
 
 
+class _UnattributedNonFinite(NonFiniteError):
+    """An untaped output is not finite and no op has been named yet."""
+
+
 _grad_enabled = ContextVar("grad_enabled", default=True)
+_checks_forced = ContextVar("checks_forced", default=False)
 
 
 @contextmanager
@@ -55,11 +73,41 @@ def no_grad():
 _PASS_THROUGH = frozenset({"reshape", "transpose", "concat", "embedding", "relu"})
 
 
-def _check_finite(op: str, arr: np.ndarray) -> None:
+def _finite(arr: np.ndarray) -> bool:
     # sum is NaN/Inf iff the array holds one (values here stay far below
     # overflow, so a finite array cannot overflow the sum)
-    if not math.isfinite(float(arr.sum())):
+    return math.isfinite(float(arr.sum()))
+
+
+def _check_finite(op: str, arr: np.ndarray) -> None:
+    if not _finite(arr):
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
+
+
+def require_finite(what: str, *arrays: np.ndarray) -> None:
+    """The one finite check of an untaped caller's outputs (see ``rerun_checked``)."""
+    if not all(_finite(a) for a in arrays):
+        cls = NonFiniteError if _checks_forced.get() else _UnattributedNonFinite
+        raise cls(f"non-finite values in {what}")
+
+
+def rerun_checked(fn: Callable) -> Callable:
+    """Wrap a deterministic caller that runs ops under ``no_grad`` and checks
+    its outputs with ``require_finite``. When that check fails, the call
+    runs again with every op checked, so the error names the op that first
+    made a non-finite value."""
+    @wraps(fn)
+    def call(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except _UnattributedNonFinite:
+            token = _checks_forced.set(True)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                _checks_forced.reset(token)
+
+    return call
 
 
 @dataclass
@@ -157,8 +205,12 @@ class Tensor:
                 if g is None or not parent.requires_grad:
                     continue
                 if parent._grad is None:
-                    parent._grad = np.zeros_like(parent.data)
-                parent._grad += g
+                    # laid out like the data: kept in ``g``'s strides, later
+                    # products would round differently
+                    parent._grad = np.empty_like(parent.data)
+                    np.copyto(parent._grad, g)
+                else:
+                    parent._grad += g
 
 
 def _as_tensor(x) -> Tensor:
@@ -167,10 +219,11 @@ def _as_tensor(x) -> Tensor:
 
 def _make(op: str, out: np.ndarray, inputs: tuple[Tensor, ...],
           backward: Callable[[np.ndarray], tuple]) -> Tensor:
-    if op not in _PASS_THROUGH:
+    taping = _grad_enabled.get()
+    if (taping or _checks_forced.get()) and op not in _PASS_THROUGH:
         _check_finite(op, out)
     result = Tensor(out)
-    if _grad_enabled.get() and any(t.requires_grad for t in inputs):
+    if taping and any(t.requires_grad for t in inputs):
         result.requires_grad = True
         result.node = TapeNode(op, inputs, backward)
     return result
@@ -244,6 +297,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make("matmul", out, (a, b), backward)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The affine map x @ w + b as one op: ``x`` is [..., k], ``w`` [k, n], ``b`` [n].
+
+    Rounds exactly as ``add(matmul(x, w), b)``: the same batched products,
+    forward and backward.
+    """
+    if x.ndim < 2 or w.ndim != 2:
+        raise ShapeError("linear requires x of rank >= 2 and a 2-D weight")
+    if x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear extents differ: {x.shape} x {w.shape} + {b.shape}")
+    out = np.matmul(x.data, w.data) + b.data
+    x_data, w_data = x.data, w.data
+
+    def backward(g):
+        dx = _unbroadcast(np.matmul(g, np.swapaxes(w_data, -1, -2)), x.shape)
+        dw = _unbroadcast(np.matmul(np.swapaxes(x_data, -1, -2), g), w.shape)
+        return dx, dw, _unbroadcast(g, b.shape)
+
+    return _make("linear", out, (x, w, b), backward)
+
+
 # ---------------------------------------------------------------------------
 # softmax family
 # ---------------------------------------------------------------------------
@@ -292,9 +366,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if eps <= 0:
         raise ValueError("eps must be positive")
     d = x.shape[-1]
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # sum / d is mean's own reduction and division, without its wrapper
+    mu = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
@@ -302,8 +377,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def backward(g):
         dxhat = g * gain_data
-        term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        term = dxhat - dxhat.sum(axis=-1, keepdims=True) / d \
+            - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
         dx = inv * term
         axes = tuple(range(g.ndim - 1))
         return dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
@@ -545,6 +620,13 @@ class GradCheckReport:
         self.passed = self.max_rel_error <= self.tol
 
 
+@rerun_checked
+def _checked_value(f: Callable[[ParameterSet], Tensor], params: ParameterSet) -> float:
+    out = f(params)
+    require_finite("the value of f", out.data)
+    return out.item()
+
+
 def grad_check(f: Callable[[ParameterSet], Tensor], params: ParameterSet,
                h: float = 1e-5, tol: float = 1e-4,
                sample: int | None = None, seed: int = 0) -> GradCheckReport:
@@ -554,7 +636,9 @@ def grad_check(f: Callable[[ParameterSet], Tensor], params: ParameterSet,
     disagreement is an error). Relative error per entry is
     |a - n| / max(|a|, |n|, 1e-4); the small floor keeps noise on near-zero
     gradients from registering as failures. ``sample`` optionally limits the
-    check to that many randomly chosen entries per parameter.
+    check to that many randomly chosen entries per parameter. A non-finite
+    value of ``f`` at a perturbed entry is an error naming the parameter,
+    the flat index and the op.
     """
     base = f(params).item()
     if f(params).item() != base:
@@ -573,11 +657,16 @@ def grad_check(f: Callable[[ParameterSet], Tensor], params: ParameterSet,
             worst = 0.0
             for i in idx:
                 orig = flat[i]
-                flat[i] = orig + h
-                fp = f(params).item()
-                flat[i] = orig - h
-                fm = f(params).item()
-                flat[i] = orig
+                try:
+                    flat[i] = orig + h
+                    fp = _checked_value(f, params)
+                    flat[i] = orig - h
+                    fm = _checked_value(f, params)
+                except NonFiniteError as e:
+                    raise NonFiniteError(f"f is not finite with '{name}' entry {i} perturbed: "
+                                         f"{e}") from e
+                finally:
+                    flat[i] = orig
                 numeric = (fp - fm) / (2.0 * h)
                 a = analytic[name].reshape(-1)[i]
                 rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-4)

@@ -36,6 +36,8 @@ from .tensor import (
     log_softmax_lastdim,
     mul,
     no_grad,
+    require_finite,
+    rerun_checked,
     seed_for_name,
     tsum,
 )
@@ -169,6 +171,8 @@ class StepRecord:
     seconds: float
     lr: float
     grad_norm: float  # before clipping
+    tokens: int  # target tokens of the step's batch
+    tokens_per_s: float  # tokens over the step's wall time
 
 
 @dataclass
@@ -178,6 +182,7 @@ class EpochRecord:
     val_loss: float
     val_bleu: dict[str, float]
     seconds: float
+    eval_seconds: float  # wall time of the epoch's validation
 
 
 @dataclass
@@ -188,20 +193,22 @@ class TrainLog:
     epochs: list[EpochRecord] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
-        """step,epoch,loss,val_loss,val_bleu,seconds,lr,grad_norm with one
-        row per step and one validation row per epoch (first validation
-        set's BLEU)."""
-        rows = ["step,epoch,loss,val_loss,val_bleu,seconds,lr,grad_norm"]
+        """step,epoch,loss,val_loss,val_bleu,seconds,lr,grad_norm,tokens,
+        tokens_per_s,eval_seconds with one row per step and one validation
+        row per epoch (first validation set's BLEU)."""
+        rows = ["step,epoch,loss,val_loss,val_bleu,seconds,lr,grad_norm,tokens,tokens_per_s,"
+                "eval_seconds"]
         merged = [(s.step, 0, s) for s in self.steps] + [(e.step, 1, e) for e in self.epochs]
         merged.sort(key=lambda r: (r[0], r[1]))
         for _, kind, rec in merged:
             if kind == 0:
                 rows.append(f"{rec.step},{rec.epoch},{rec.loss:.6f},,,{rec.seconds:.3f},"
-                            f"{rec.lr:.6g},{rec.grad_norm:.6g}")
+                            f"{rec.lr:.6g},{rec.grad_norm:.6g},{rec.tokens},"
+                            f"{rec.tokens_per_s:.6g},")
             else:
                 bleu = next(iter(rec.val_bleu.values()), float("nan"))
                 rows.append(f"{rec.step},{rec.epoch},,{rec.val_loss:.6f},"
-                            f"{bleu:.4f},{rec.seconds:.3f},,")
+                            f"{bleu:.4f},{rec.seconds:.3f},,,,,{rec.eval_seconds:.3f}")
         write_lines(path, rows)
 
     def write_curves_csv(self, path) -> None:
@@ -213,6 +220,7 @@ class TrainLog:
         write_lines(path, rows)
 
 
+@rerun_checked
 def evaluate(params: ParameterSet, config: ModelConfig, val_sets: dict[str, ParallelCorpus],
              vocab: Vocabulary, train_config: TrainConfig) -> tuple[float, dict[str, float]]:
     """Teacher-forced loss over all validation pairs and greedy-decoding
@@ -222,7 +230,9 @@ def evaluate(params: ParameterSet, config: ModelConfig, val_sets: dict[str, Para
     with no_grad():
         for name, corpus in val_sets.items():
             for batch in make_batches(corpus, vocab, train_config.max_tokens, seed=0):
-                logits, _ = model_forward(batch, params, config)
+                logits, cross_maps = model_forward(batch, params, config)
+                require_finite("the teacher-forced logits and cross-attention", logits.data,
+                               *(m.data for m in cross_maps))
                 loss = masked_cross_entropy(logits, batch.tgt_out_ids, batch.tgt_mask,
                                             train_config.label_smoothing)
                 losses.append(loss.item())
@@ -273,6 +283,7 @@ def train(params: ParameterSet, config: ModelConfig, train_config: TrainConfig,
             drop_rng = np.random.Generator(np.random.PCG64(
                 seed_for_name(train_config.seed, f"dropout.{epoch}")))
             for batch in batches:
+                step_start = time.perf_counter()
                 lr = lr_at_step(adam.t + 1, config.d_model, train_config.warmup)
                 params.zero_grad()
                 logits, _ = model_forward(batch, params, config, rng=drop_rng)
@@ -281,12 +292,15 @@ def train(params: ParameterSet, config: ModelConfig, train_config: TrainConfig,
                 loss.backward()
                 grad_norm = clip_grad_norm(params)
                 adam_step(params, adam, lr)
-                log.steps.append(StepRecord(adam.t, epoch, loss.item(),
-                                            time.perf_counter() - t0, lr, grad_norm))
+                now, tokens = time.perf_counter(), batch.n_target_tokens
+                log.steps.append(StepRecord(adam.t, epoch, loss.item(), now - t0, lr, grad_norm,
+                                            tokens, tokens / (now - step_start)))
+            eval_start = time.perf_counter()
             val_loss, val_bleu = (evaluate(params, config, val_sets, vocab, train_config)
                                   if val_sets else (float("nan"), {}))
-            log.epochs.append(EpochRecord(adam.t, epoch, val_loss, val_bleu,
-                                          time.perf_counter() - t0))
+            now = time.perf_counter()
+            log.epochs.append(EpochRecord(adam.t, epoch, val_loss, val_bleu, now - t0,
+                                          now - eval_start))
             if out_dir is not None:
                 checkpoint_save(params, config, vocab, adam, out_dir / "latest.ckpt",
                                 step=adam.t, epoch=epoch + 1)

@@ -179,13 +179,15 @@ def test_train_zero_epochs_writes_skeleton(corpus_files, tmp_path):
     assert (out / "vocab.txt").read_text() == "a\nb\n"
     assert (out / "latest.ckpt").exists()
     assert (out / "train_log.csv").read_text() == \
-        "step,epoch,loss,val_loss,val_bleu,seconds,lr,grad_norm\n"
+        "step,epoch,loss,val_loss,val_bleu,seconds,lr,grad_norm,tokens,tokens_per_s,eval_seconds\n"
     assert not (out / "bleu_curves.csv").exists()
 
 
 def _strip_seconds(csv_text):
+    """Drop the wall-time columns: seconds, tokens_per_s and eval_seconds."""
     rows = csv_text.splitlines()
-    return [",".join(c for i, c in enumerate(r.split(",")) if i != 5) for r in rows]
+    return [",".join(c for i, c in enumerate(r.split(",")) if i not in (5, 9, 10))
+            for r in rows]
 
 
 def test_train_runs_are_deterministic(corpus_files, tmp_path):

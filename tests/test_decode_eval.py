@@ -14,7 +14,7 @@ from charnmt.data import BOS_ID, EOS_ID, ParallelCorpus, build_vocab, read_lines
 from charnmt.decoding import DecodeConfig, beam_decode, greedy_decode_batch
 from charnmt.model import ModelConfig, build_params
 from charnmt.tensor import NonFiniteError
-from charnmt.training import checkpoint_load
+from charnmt.training import TrainConfig, checkpoint_load, evaluate
 from oracles import brute_bleu, exhaustive_best_sequence, uncached_search
 
 from conftest import rand_rng
@@ -227,11 +227,35 @@ def test_nan_cross_attention_key_weight_stops_every_decoder_use():
     built; greedy, beam and teacher-forced attention maps all go through it."""
     params, config, vocab = _toy_model(seed=21)
     params["dec.0.cross_attn.k_proj.weight"].data[0, 0] = np.nan
-    with pytest.raises(NonFiniteError, match="'matmul'"):
+    with pytest.raises(NonFiniteError, match="'linear'"):
         greedy_decode_batch(params, config, ["ab"], vocab)
-    with pytest.raises(NonFiniteError, match="'matmul'"):
+    with pytest.raises(NonFiniteError, match="'linear'"):
         beam_decode(params, config, "ab", vocab, DecodeConfig(beam_size=2))
-    with pytest.raises(NonFiniteError, match="'matmul'"):
+    with pytest.raises(NonFiniteError, match="'linear'"):
+        cross_attention_maps(params, config, [("ab", "ba")], vocab)
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("weight,op", [
+    ("enc.0.attn.q_proj", "linear"), ("enc.0.ff.w1", "linear"),
+    ("enc.0.conv.w5", "conv1d_same"), ("dec.0.self_attn.v_proj", "linear"),
+    ("dec.1.cross_attn.q_proj", "linear"), ("dec.1.ff.w2", "linear"), ("out", "linear"),
+])
+def test_nan_weight_error_names_the_op_in_every_untaped_use(weight, op):
+    """Untaped ops skip the per-op check; each caller checks its outputs
+    once and, finding a NaN, runs again with every op checked, so the error
+    still names the op that made it."""
+    params, config, vocab = _toy_model(seed=22, n_layers=2, kind="conv")
+    params[f"{weight}.weight"].data.reshape(-1)[0] = np.nan
+    match = f"op '{op}'"
+    with pytest.raises(NonFiniteError, match=match):
+        greedy_decode_batch(params, config, ["ab", "dcba"], vocab)
+    with pytest.raises(NonFiniteError, match=match):
+        beam_decode(params, config, "ab", vocab, DecodeConfig(beam_size=2))
+    with pytest.raises(NonFiniteError, match=match):
+        evaluate(params, config, {"val": ParallelCorpus(pairs=[("ab", "ba")])}, vocab,
+                 TrainConfig(bleu_mode="char"))
+    with pytest.raises(NonFiniteError, match=match):
         cross_attention_maps(params, config, [("ab", "ba")], vocab)
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from charnmt.model import ModelConfig, build_params
 from charnmt.tensor import (MaskError, NonFiniteError, ParameterSet, ShapeError,
                             Tensor, add, concat, conv1d_same, dropout, embedding,
-                            grad_check, init_param, layer_norm, log_softmax_lastdim,
+                            grad_check, init_param, layer_norm, linear, log_softmax_lastdim,
                             matmul, mul, no_grad, relu, reshape, seed_for_name,
                             softmax_lastdim, transpose, tsum)
 from charnmt.training import AdamState, adam_step
@@ -368,6 +368,13 @@ def _broadcast_pair(draw, keep_one_axis=True):
     return side(), side()
 
 
+def _linear_shapes(draw):
+    """x [..., k] (2-D or batched), w [k, n] and b [n]."""
+    k, n = draw(_SIZE), draw(_SIZE)
+    lead = draw(st.lists(_SIZE, min_size=1, max_size=3).map(tuple))
+    return lead + (k,), (k, n), (n,)
+
+
 @st.composite
 def _tape_case(draw, op):
     """A function of a parameter set that applies ``op`` once, and the
@@ -380,6 +387,9 @@ def _tape_case(draw, op):
         x, y = draw(_broadcast_pair(keep_one_axis=False))
         m, k, n = draw(_SIZE), draw(_SIZE), draw(_SIZE)
         return (lambda p: matmul(p["x"], p["y"])), {"x": x + (m, k), "y": y + (k, n)}
+    if op == "linear":
+        x, w, b = _linear_shapes(draw)
+        return (lambda p: linear(p["x"], p["w"], p["b"])), {"x": x, "w": w, "b": b}
     if op == "softmax_lastdim":
         shape = draw(_DIMS) + (draw(st.integers(1, 4)),)
         keep = draw(st.lists(st.booleans(), min_size=math.prod(shape),
@@ -416,8 +426,9 @@ def _tape_case(draw, op):
     return (lambda p: mul(tsum(p["x"]), tsum(mul(p["x"], p["x"])))), {"x": draw(_DIMS)}
 
 
-@pytest.mark.parametrize("op", ["add", "mul", "matmul", "softmax_lastdim", "layer_norm",
-                                "conv1d_same", "concat", "transpose", "reshape", "tsum"])
+@pytest.mark.parametrize("op", ["add", "mul", "matmul", "linear", "softmax_lastdim",
+                                "layer_norm", "conv1d_same", "concat", "transpose", "reshape",
+                                "tsum"])
 @settings(max_examples=25)
 @given(data=st.data())
 def test_tape_op_gradients_over_drawn_shapes(op, data):
@@ -432,6 +443,52 @@ def test_tape_op_gradients_over_drawn_shapes(op, data):
         weight = Tensor(rng.normal(size=fn(params).shape))
     report = grad_check(lambda p: tsum(mul(fn(p), weight)), params, tol=1e-4)
     assert report.passed, (op, shapes, report.per_param)
+
+
+@pytest.mark.invariant
+@settings(max_examples=40)
+@given(data=st.data())
+def test_linear_is_bit_equal_to_matmul_then_add(data):
+    """The fused op rounds exactly as the two ops it replaces, in the
+    forward and in all three gradients, for 2-D and batched inputs."""
+    x_shape, w_shape, b_shape = _linear_shapes(data.draw)
+    rng = rand_rng(data.draw(st.integers(0, 2**16)))
+    values = [rng.normal(size=shape) for shape in (x_shape, w_shape, b_shape)]
+    out_weight = rng.normal(size=x_shape[:-1] + w_shape[1:])
+    runs = []
+    for fn in (linear, lambda x, w, b: add(matmul(x, w), b)):
+        x, w, b = (Tensor(v.copy(), requires_grad=True) for v in values)
+        out = fn(x, w, b)
+        tsum(mul(out, Tensor(out_weight))).backward()
+        runs.append((out.data, x.grad, w.grad, b.grad))
+    for fused, chained in zip(*runs):
+        assert fused.shape == chained.shape
+        assert fused.tobytes() == chained.tobytes()
+
+
+def test_linear_rejects_bad_shapes():
+    x, w = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
+    for args in ((Tensor(np.ones(3)), w, Tensor(np.ones(4))),
+                 (x, Tensor(np.ones((2, 3, 4))), Tensor(np.ones(4))),
+                 (x, Tensor(np.ones((4, 4))), Tensor(np.ones(4))),
+                 (x, w, Tensor(np.ones(3))),
+                 (x, w, Tensor(np.ones((1, 4))))):
+        with pytest.raises(ShapeError):
+            linear(*args)
+
+
+@pytest.mark.invariant
+def test_first_gradients_are_private_copies_laid_out_like_data():
+    """``add`` hands one array to both parents; each keeps its own copy,
+    laid out like its own data, not like the array it was handed."""
+    rng = rand_rng(18)
+    a = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+    b = transpose(Tensor(rng.normal(size=(6, 4)), requires_grad=True), (1, 0))
+    assert not b.data.flags.c_contiguous
+    tsum(mul(add(a, b), Tensor(rng.normal(size=(4, 6))))).backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    assert a.grad.strides == a.data.strides and b.grad.strides == b.data.strides
+    assert np.array_equal(a.grad, b.grad)
 
 
 def test_embedding_gradients():
@@ -466,6 +523,21 @@ def test_grad_check_passes_softmax_cross_entropy():
         return tsum(mul(log_softmax_lastdim(p["z"]), Tensor(target))) * -1.0
 
     assert grad_check(f, params, tol=1e-5).passed
+
+
+def test_grad_check_raises_on_a_non_finite_value():
+    """Untaped passes skip the per-op checks, and a NaN central difference
+    would fail every comparison and pass; a non-finite f is an error naming
+    the parameter, the flat index and the op."""
+    params = ParameterSet({"x": Tensor(np.array([0.5, 1.0, 1.5 - 1e-6, 0.2]),
+                                       requires_grad=True)})
+
+    def f(p):  # NaN once x[2] is pushed above 1.5
+        return tsum(mul(p["x"], Tensor(np.where(p["x"].data > 1.5, np.nan, 1.0))))
+
+    with pytest.raises(NonFiniteError, match=r"'x' entry 2 perturbed.*'mul'"):
+        grad_check(f, params)
+    assert np.array_equal(params["x"].data, [0.5, 1.0, 1.5 - 1e-6, 0.2])
 
 
 def test_grad_check_flags_detached_path():

@@ -10,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from charnmt.data import BOS_ID, ParallelCorpus, batch_from_rows, build_vocab, encode_pair
+from charnmt.data import (BOS_ID, ParallelCorpus, batch_from_rows, build_vocab, encode_pair,
+                          make_batches)
 from charnmt.model import ModelConfig, build_params, model_forward
-from charnmt.tensor import MaskError, NonFiniteError, ParameterSet, Tensor, mul, tsum
+from charnmt.tensor import (MaskError, NonFiniteError, ParameterSet, Tensor, mul, seed_for_name,
+                            tsum)
 import charnmt.training
 from charnmt.training import (AdamState, TrainConfig, TrainLog, adam_step,
                               checkpoint_load, checkpoint_save, clip_grad_norm,
@@ -354,15 +356,25 @@ def test_train_log_csv_layout(tmp_path):
     path = tmp_path / "train_log.csv"
     log.write_csv(path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "step,epoch,loss,val_loss,val_bleu,seconds,lr,grad_norm"
+    assert lines[0] == ("step,epoch,loss,val_loss,val_bleu,seconds,lr,grad_norm,tokens,"
+                        "tokens_per_s,eval_seconds")
     step_rows = [l.split(",") for l in lines[1:] if l.split(",")[2]]
     val_rows = [l.split(",") for l in lines[1:] if l.split(",")[3]]
     assert len(step_rows) == len(log.steps)
-    assert len(val_rows) == 1 and val_rows[0][6:] == ["", ""]
-    for row, rec in zip(step_rows, log.steps):
+    assert len(val_rows) == 1 and val_rows[0][6:10] == ["", "", "", ""]
+    epoch = log.epochs[0]
+    assert float(val_rows[0][10]) == pytest.approx(epoch.eval_seconds, abs=1e-3)
+    # validation is the tail of the epoch: it starts after the last step ends
+    assert 0.0 < epoch.eval_seconds <= epoch.seconds - log.steps[-1].seconds
+    batches = make_batches(corpus, vocab, tc.max_tokens, seed=seed_for_name(tc.seed, "batches.0"))
+    for row, rec, batch in zip(step_rows, log.steps, batches, strict=True):
+        assert len(row) == 11 and row[10] == ""
         assert rec.lr == lr_at_step(rec.step, config.d_model, tc.warmup)
         assert float(row[6]) == pytest.approx(rec.lr, rel=1e-5)
         assert float(row[7]) == pytest.approx(rec.grad_norm, rel=1e-5)
+        assert int(row[8]) == rec.tokens == batch.n_target_tokens
+        assert float(row[9]) == pytest.approx(rec.tokens_per_s, rel=1e-5)
+        assert rec.tokens_per_s > 0.0
     # the norm before clipping: an untrained model's first gradients exceed the clip norm
     assert log.steps[0].grad_norm > charnmt.training.CLIP_NORM
     curves = tmp_path / "curves.csv"
