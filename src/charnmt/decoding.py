@@ -40,7 +40,6 @@ from .tensor import (
     ParameterSet,
     Tensor,
     log_softmax_lastdim,
-    no_grad,
     require_finite,
     rerun_checked,
 )
@@ -85,32 +84,30 @@ def _search(params: ParameterSet, config: ModelConfig, srcs: list[str],
     src = batch_from_rows(rows)
     # the last field is the hypothesis's row in the previous decoder call
     beams = [[(0.0, (), False, r)] for r in range(len(rows))]
-    with no_grad():
-        state = DecoderState(encoder_forward(src, params, config), src.src_mask, params, config)
-        for step in itertools.count(1):
-            live = [(r, h) for r, beam in enumerate(beams) for h in beam if not h[2]]
-            if not live:
-                break
-            state.reorder(np.asarray([h[3] for _, h in live]))
-            tgt_in = np.asarray([h[1][-1:] or (BOS_ID,) for _, h in live], dtype=np.int64)
-            # the source lives in the state, so the step batch's source is zero-width
-            logits, _ = decoder_forward(Batch(tgt_in[:, :0], tgt_in, tgt_in), state, params,
-                                        config)
-            logp_tok = log_softmax_lastdim(Tensor(logits.data[:, -1, :])).data
-            require_finite("a decoding step's log-probabilities", logp_tok)
-            neg_score = np.asarray([h[0] for _, h in live])[:, None] - logp_tok
-            # a hypothesis can place only its own top `width` in the beam; keep ties too
-            k = min(width, neg_score.shape[1])
-            top = np.argpartition(neg_score, k - 1, axis=1)[:, k - 1:k]
-            kth = np.take_along_axis(neg_score, top, axis=1)
-            cands = {r: [h for h in beams[r] if h[2]] for r, _ in live}
-            for j, tok in zip(*np.nonzero(neg_score <= kth)):
-                r, (_, ids, _, _) = live[j]
-                tok = int(tok)
-                cands[r].append((float(neg_score[j, tok]), ids + (tok,),
-                                 tok == EOS_ID or step >= caps[r], int(j)))
-            for r, cand in cands.items():
-                beams[r] = sorted(cand)[:width]
+    state = DecoderState(encoder_forward(src, params, config), src.src_mask, params, config)
+    for step in itertools.count(1):
+        live = [(r, h) for r, beam in enumerate(beams) for h in beam if not h[2]]
+        if not live:
+            break
+        state.reorder(np.asarray([h[3] for _, h in live]))
+        tgt_in = np.asarray([h[1][-1:] or (BOS_ID,) for _, h in live], dtype=np.int64)
+        # the source lives in the state, so the step batch's source is zero-width
+        logits, _ = decoder_forward(Batch(tgt_in[:, :0], tgt_in, tgt_in), state, params, config)
+        logp_tok = log_softmax_lastdim(Tensor(logits.data[:, -1, :])).data
+        require_finite("a decoding step's log-probabilities", logp_tok)
+        neg_score = np.asarray([h[0] for _, h in live])[:, None] - logp_tok
+        # a hypothesis can place only its own top `width` in the beam; keep ties too
+        k = min(width, neg_score.shape[1])
+        top = np.argpartition(neg_score, k - 1, axis=1)[:, k - 1:k]
+        kth = np.take_along_axis(neg_score, top, axis=1)
+        cands = {r: [h for h in beams[r] if h[2]] for r, _ in live}
+        for j, tok in zip(*np.nonzero(neg_score <= kth)):
+            r, (_, ids, _, _) = live[j]
+            tok = int(tok)
+            cands[r].append((float(neg_score[j, tok]), ids + (tok,),
+                             tok == EOS_ID or step >= caps[r], int(j)))
+        for r, cand in cands.items():
+            beams[r] = sorted(cand)[:width]
     return [decode(beam[0][1], vocab) for beam in beams]
 
 

@@ -34,7 +34,6 @@ from .tensor import (
     layer_norm,
     linear,
     matmul,
-    no_grad,
     relu,
     require_finite,
     rerun_checked,
@@ -419,10 +418,9 @@ def extract_cross_attention(batch, params: ParameterSet, config: ModelConfig
     positions only; rows are renormalized to sum to 1 after the head
     average.
     """
-    with no_grad():
-        logits, cross_maps = model_forward(batch, params, config)
-        require_finite("the teacher-forced logits and cross-attention", logits.data,
-                       *(m.data for m in cross_maps))
+    logits, cross_maps = model_forward(batch, params, config)
+    require_finite("the teacher-forced logits and cross-attention", logits.data,
+                   *(m.data for m in cross_maps))
     last = cross_maps[-1].data.mean(axis=1)  # [B, T_t, T_s]
     out = []
     for row in range(last.shape[0]):

@@ -12,15 +12,12 @@ with ``+=``. A parameter's gradient is a view into its ParameterSet's
 arena, so every gradient is added to it; call ``ParameterSet.zero_grad``
 between optimizer steps.
 
-Finite checks: while a tape is recorded (outside ``no_grad``), every op
-that can turn finite inputs into NaN/Inf checks its output and raises
-instead of propagating silently; ops that only move, select or clamp
-values do not, so a non-finite leaf is caught at the first arithmetic op
-that reads it. Under ``no_grad`` ops skip the check: each caller that runs
-them is wrapped in ``rerun_checked`` and checks its outputs once with
-``require_finite`` (a decoding step's log-probabilities, a teacher-forced
-pass's logits and cross-attention). If one is not finite, the call runs
-again with every op checked, so the error still names the op.
+Finite checks: an op checks its output while a tape is recorded or inside
+a checked re-run; a ``rerun_checked`` function runs untaped and checks its
+outputs once, with ``require_finite``, and after a failure runs again with
+every op checked, so the error still names the op. Ops that only move,
+select or clamp values never check, so a non-finite leaf is caught at the
+first arithmetic op that reads it.
 """
 
 from __future__ import annotations
@@ -50,10 +47,6 @@ class NonFiniteError(FloatingPointError):
     """An op produced NaN or Inf."""
 
 
-class _UnattributedNonFinite(NonFiniteError):
-    """An untaped output is not finite and no op has been named yet."""
-
-
 _grad_enabled = ContextVar("grad_enabled", default=True)
 _checks_forced = ContextVar("checks_forced", default=False)
 
@@ -79,28 +72,27 @@ def _finite(arr: np.ndarray) -> bool:
     return math.isfinite(float(arr.sum()))
 
 
-def _check_finite(op: str, arr: np.ndarray) -> None:
-    if not _finite(arr):
-        raise NonFiniteError(f"non-finite values produced by op '{op}'")
-
-
 def require_finite(what: str, *arrays: np.ndarray) -> None:
     """The one finite check of an untaped caller's outputs (see ``rerun_checked``)."""
     if not all(_finite(a) for a in arrays):
-        cls = NonFiniteError if _checks_forced.get() else _UnattributedNonFinite
-        raise cls(f"non-finite values in {what}")
+        raise NonFiniteError(f"non-finite values in {what}")
 
 
 def rerun_checked(fn: Callable) -> Callable:
-    """Wrap a deterministic caller that runs ops under ``no_grad`` and checks
-    its outputs with ``require_finite``. When that check fails, the call
-    runs again with every op checked, so the error names the op that first
-    made a non-finite value."""
+    """Declare ``fn`` an untaped caller. ``fn`` is deterministic, runs under
+    ``no_grad`` with the per-op checks off and checks its outputs with
+    ``require_finite``; after a ``NonFiniteError`` it runs once more with
+    every op checked, so the error names the op, and inside that checked
+    re-run it is not re-run again. On an error path only, a decorated caller
+    of a decorated function also re-runs, though the inner error named the op."""
     @wraps(fn)
     def call(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except _UnattributedNonFinite:
+        with no_grad():
+            try:
+                return fn(*args, **kwargs)
+            except NonFiniteError:
+                if _checks_forced.get():
+                    raise
             token = _checks_forced.set(True)
             try:
                 return fn(*args, **kwargs)
@@ -202,7 +194,7 @@ class Tensor:
             assert node is not None
             grads = node.backward(t._grad)
             for parent, g in zip(node.inputs, grads):
-                if g is None or not parent.requires_grad:
+                if not parent.requires_grad:
                     continue
                 if parent._grad is None:
                     # laid out like the data: kept in ``g``'s strides, later
@@ -220,8 +212,8 @@ def _as_tensor(x) -> Tensor:
 def _make(op: str, out: np.ndarray, inputs: tuple[Tensor, ...],
           backward: Callable[[np.ndarray], tuple]) -> Tensor:
     taping = _grad_enabled.get()
-    if (taping or _checks_forced.get()) and op not in _PASS_THROUGH:
-        _check_finite(op, out)
+    if (taping or _checks_forced.get()) and op not in _PASS_THROUGH and not _finite(out):
+        raise NonFiniteError(f"non-finite values produced by op '{op}'")
     result = Tensor(out)
     if taping and any(t.requires_grad for t in inputs):
         result.requires_grad = True
@@ -288,13 +280,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     out = np.matmul(a.data, b.data)
     a_data, b_data = a.data, b.data
+    return _make("matmul", out, (a, b),
+                 lambda g: _matmul_grads(g, a_data, b_data, a.shape, b.shape))
 
-    def backward(g):
-        da = _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a.shape)
-        db = _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b.shape)
-        return da, db
 
-    return _make("matmul", out, (a, b), backward)
+def _matmul_grads(g: np.ndarray, a_data: np.ndarray, b_data: np.ndarray,
+                  a_shape: tuple[int, ...], b_shape: tuple[int, ...]) -> tuple:
+    """dA = dC @ B^T and dB = A^T @ dC, batched, each summed over its broadcast dims."""
+    return (_unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_shape),
+            _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -311,9 +305,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x_data, w_data = x.data, w.data
 
     def backward(g):
-        dx = _unbroadcast(np.matmul(g, np.swapaxes(w_data, -1, -2)), x.shape)
-        dw = _unbroadcast(np.matmul(np.swapaxes(x_data, -1, -2), g), w.shape)
-        return dx, dw, _unbroadcast(g, b.shape)
+        return *_matmul_grads(g, x_data, w_data, x.shape, w.shape), _unbroadcast(g, b.shape)
 
     return _make("linear", out, (x, w, b), backward)
 
@@ -640,37 +632,36 @@ def grad_check(f: Callable[[ParameterSet], Tensor], params: ParameterSet,
     value of ``f`` at a perturbed entry is an error naming the parameter,
     the flat index and the op.
     """
-    base = f(params).item()
-    if f(params).item() != base:
+    out = f(params)
+    if f(params).item() != out.item():
         raise ValueError("f is not deterministic: two forward passes disagree")
     params.zero_grad()
-    f(params).backward()
+    out.backward()
     analytic = params.views(params.grad.copy())
     rng = np.random.Generator(np.random.PCG64(seed))
     report: dict[str, float] = {}
-    with no_grad():
-        for name, t in params.items():
-            flat = t.data.reshape(-1)
-            idx = np.arange(flat.size)
-            if sample is not None and sample < flat.size:
-                idx = np.sort(rng.choice(flat.size, size=sample, replace=False))
-            worst = 0.0
-            for i in idx:
-                orig = flat[i]
-                try:
-                    flat[i] = orig + h
-                    fp = _checked_value(f, params)
-                    flat[i] = orig - h
-                    fm = _checked_value(f, params)
-                except NonFiniteError as e:
-                    raise NonFiniteError(f"f is not finite with '{name}' entry {i} perturbed: "
-                                         f"{e}") from e
-                finally:
-                    flat[i] = orig
-                numeric = (fp - fm) / (2.0 * h)
-                a = analytic[name].reshape(-1)[i]
-                rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-4)
-                if rel > worst:
-                    worst = rel
-            report[name] = worst
+    for name, t in params.items():
+        flat = t.data.reshape(-1)
+        idx = np.arange(flat.size)
+        if sample is not None and sample < flat.size:
+            idx = np.sort(rng.choice(flat.size, size=sample, replace=False))
+        worst = 0.0
+        for i in idx:
+            orig = flat[i]
+            try:
+                flat[i] = orig + h
+                fp = _checked_value(f, params)
+                flat[i] = orig - h
+                fm = _checked_value(f, params)
+            except NonFiniteError as e:
+                raise NonFiniteError(f"f is not finite with '{name}' entry {i} perturbed: "
+                                     f"{e}") from e
+            finally:
+                flat[i] = orig
+            numeric = (fp - fm) / (2.0 * h)
+            a = analytic[name].reshape(-1)[i]
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-4)
+            if rel > worst:
+                worst = rel
+        report[name] = worst
     return GradCheckReport(report, tol)

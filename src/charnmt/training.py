@@ -35,7 +35,6 @@ from .tensor import (
     Tensor,
     log_softmax_lastdim,
     mul,
-    no_grad,
     require_finite,
     rerun_checked,
     seed_for_name,
@@ -227,19 +226,18 @@ def evaluate(params: ParameterSet, config: ModelConfig, val_sets: dict[str, Para
     BLEU per validation set."""
     losses, weights = [], []
     bleus: dict[str, float] = {}
-    with no_grad():
-        for name, corpus in val_sets.items():
-            for batch in make_batches(corpus, vocab, train_config.max_tokens, seed=0):
-                logits, cross_maps = model_forward(batch, params, config)
-                require_finite("the teacher-forced logits and cross-attention", logits.data,
-                               *(m.data for m in cross_maps))
-                loss = masked_cross_entropy(logits, batch.tgt_out_ids, batch.tgt_mask,
-                                            train_config.label_smoothing)
-                losses.append(loss.item())
-                weights.append(batch.n_target_tokens)
-            hyps = greedy_decode_batch(params, config, [s for s, _ in corpus.pairs], vocab)
-            bleus[name] = corpus_bleu(hyps, [t for _, t in corpus.pairs],
-                                      tokenizer=train_config.bleu_mode)
+    for name, corpus in val_sets.items():
+        for batch in make_batches(corpus, vocab, train_config.max_tokens, seed=0):
+            logits, cross_maps = model_forward(batch, params, config)
+            require_finite("the teacher-forced logits and cross-attention", logits.data,
+                           *(m.data for m in cross_maps))
+            loss = masked_cross_entropy(logits, batch.tgt_out_ids, batch.tgt_mask,
+                                        train_config.label_smoothing)
+            losses.append(loss.item())
+            weights.append(batch.n_target_tokens)
+        hyps = greedy_decode_batch(params, config, [s for s, _ in corpus.pairs], vocab)
+        bleus[name] = corpus_bleu(hyps, [t for _, t in corpus.pairs],
+                                  tokenizer=train_config.bleu_mode)
     val_loss = float(np.average(losses, weights=weights)) if losses else float("nan")
     return val_loss, bleus
 

@@ -175,8 +175,8 @@ def test_cca_correlations_sorted_and_clipped():
 
 
 def test_cca_survives_svd_convergence_failure(monkeypatch):
-    # the dense SVD sometimes refuses to converge on wide, noisy grids;
-    # the eigendecomposition fallback must keep self-comparison exact
+    # CCA calls no SVD, so an SVD that refuses to converge (as the dense
+    # SVD sometimes does on wide, noisy grids) cannot reach it
     def unstable(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 

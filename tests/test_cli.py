@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from charnmt.alignment import cross_attention_maps
+from charnmt.alignment import alignment_report, collect_alignments, cross_attention_maps
+from charnmt.bleu import corpus_bleu
 from charnmt.cli import _ENTRY_KEYS, main, resolve_run_config
 from charnmt.data import ParallelCorpus, build_vocab
 from charnmt.decoding import greedy_decode_batch
@@ -79,6 +80,18 @@ def test_build_vocab_is_reproducible(corpus_files, tmp_path):
     assert main(["build-vocab", "--src", str(src), "--tgt", str(tgt), "--out", str(a)]) == 0
     assert main(["build-vocab", "--src", str(tgt), "--tgt", str(src), "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_build_vocab_min_count_leaves_out_a_character_seen_once(tmp_path):
+    src, tgt = tmp_path / "s.txt", tmp_path / "t.txt"
+    src.write_text("ab\nabc\n")
+    tgt.write_text("ab\nab\n")
+    once, twice = tmp_path / "once.txt", tmp_path / "twice.txt"
+    assert main(["build-vocab", "--src", str(src), "--tgt", str(tgt), "--out", str(once)]) == 0
+    assert main(["build-vocab", "--src", str(src), "--tgt", str(tgt), "--out", str(twice),
+                 "--min-count", "2"]) == 0
+    assert once.read_text() == "a\nb\nc\n"
+    assert twice.read_text() == "a\nb\n"
 
 
 def test_build_vocab_missing_file_fails(tmp_path, capsys):
@@ -181,6 +194,19 @@ def test_train_zero_epochs_writes_skeleton(corpus_files, tmp_path):
     assert (out / "train_log.csv").read_text() == \
         "step,epoch,loss,val_loss,val_bleu,seconds,lr,grad_norm,tokens,tokens_per_s,eval_seconds\n"
     assert not (out / "bleu_curves.csv").exists()
+
+
+def test_train_uses_the_vocabulary_file_it_is_given(corpus_files, tmp_path):
+    """``data.vocab`` is loaded, not rebuilt: a character the corpus lacks stays."""
+    src, tgt = corpus_files
+    vocab_file = tmp_path / "given_vocab.txt"
+    vocab_file.write_text("a\nb\nz\n")
+    cfg = _tiny_config(src, tgt, epochs=0)
+    cfg["data"]["vocab"] = str(vocab_file)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(_write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    assert (out / "vocab.txt").read_bytes() == vocab_file.read_bytes()
+    assert checkpoint_load(out / "latest.ckpt").vocab.chars == ("a", "b", "z")
 
 
 def _strip_seconds(csv_text):
@@ -595,6 +621,18 @@ def test_score_char_tokenizer(tmp_path, capsys):
     assert capsys.readouterr().out == "BLEU 100.00\n"
 
 
+def test_score_smooth_flag_scores_a_pair_without_four_gram_matches(tmp_path, capsys):
+    hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+    hyp.write_text("the cat sat down\n")
+    ref.write_text("the cat sat up\n")
+    assert main(["score", "--hyp", str(hyp), "--ref", str(ref)]) == 0
+    assert capsys.readouterr().out == "BLEU 0.00\n"
+    assert main(["score", "--hyp", str(hyp), "--ref", str(ref), "--smooth"]) == 0
+    smoothed = corpus_bleu(["the cat sat down"], ["the cat sat up"], smooth=True)
+    assert smoothed > 0.005
+    assert capsys.readouterr().out == f"BLEU {smoothed:.2f}\n"
+
+
 def test_score_length_mismatch_fails(tmp_path, capsys):
     hyp = tmp_path / "hyp.txt"
     ref = tmp_path / "ref.txt"
@@ -628,6 +666,27 @@ def test_analyze_same_model_gives_unit_correlation(tmp_path, capsys):
     assert lines[0] == "model_a,model_b,test_lang,n,grid,k,rho_mean"
     assert lines[1] == "a,b,toy,12,8x8,5,1.000000"
     assert sorted(p.name for p in dump.iterdir()) == ["a", "b"]
+
+
+def test_analyze_reg_flag_reaches_the_report(tmp_path, capsys):
+    ckpt_a, params_a, config, vocab = _tiny_checkpoint(tmp_path, name="a.ckpt", seed=0)
+    ckpt_b, params_b, *_ = _tiny_checkpoint(tmp_path, name="b.ckpt", seed=1)
+    src, ref = tmp_path / "test.src", tmp_path / "test.ref"
+    src.write_text("\n".join(SRC_LINES + ["abba", "baab", "aaab", "babb"]) + "\n")
+    ref.write_text("\n".join(TGT_LINES + ["abab", "abab", "aaab", "abab"]) + "\n")
+    out = tmp_path / "report.csv"
+    assert main(["analyze", "--ckpt-a", str(ckpt_a), "--ckpt-b", str(ckpt_b),
+                 "--src", str(src), "--ref", str(ref), "--n", "12", "--grid", "8",
+                 "--k", "5", "--reg", "1.0", "--out", str(out)]) == 0
+    pairs = list(zip(SRC_LINES + ["abba", "baab", "aaab", "babb"],
+                     TGT_LINES + ["abab", "abab", "aaab", "abab"]))
+    sets = [collect_alignments(p, config, pairs, vocab, n=12, seed=0)
+            for p in (params_a, params_b)]
+    expected = [f"{alignment_report(*sets, grid=(8, 8), k=5, reg=reg).rho_mean:.6f}"
+                for reg in (1.0, 1e-4)]
+    assert expected[0] != expected[1]
+    assert out.read_text().splitlines()[1].split(",")[-1] == expected[0]
+    assert capsys.readouterr().out == f"rho_mean {expected[0]}\n"
 
 
 def test_analyze_line_count_mismatch_fails(tmp_path, capsys):

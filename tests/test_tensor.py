@@ -1,18 +1,21 @@
 """Tensor library: op semantics, shape checks, and gradient correctness."""
 
+import ast
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import charnmt
 from charnmt.model import ModelConfig, build_params
 from charnmt.tensor import (MaskError, NonFiniteError, ParameterSet, ShapeError,
                             Tensor, add, concat, conv1d_same, dropout, embedding,
                             grad_check, init_param, layer_norm, linear, log_softmax_lastdim,
-                            matmul, mul, no_grad, relu, reshape, seed_for_name,
-                            softmax_lastdim, transpose, tsum)
+                            matmul, mul, no_grad, relu, require_finite, rerun_checked,
+                            reshape, seed_for_name, softmax_lastdim, transpose, tsum)
 from charnmt.training import AdamState, adam_step
 from oracles import brute_conv1d, naive_matmul, stable_softmax
 
@@ -303,6 +306,71 @@ def test_non_finite_result_is_an_error():
     assert "mul" in str(err.value)
 
 
+@pytest.mark.invariant
+def test_rerun_checked_runs_untaped():
+    """The decorator opens ``no_grad`` itself: its function needs no block of its own."""
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+
+    @rerun_checked
+    def square():
+        return mul(x, x)
+
+    y = square()
+    assert not y.requires_grad
+    assert y.node is None
+
+
+def _overflowing_caller(runs: list[str], label: str, inner=None):
+    """A decorated caller that counts its runs; an overflowing ``mul`` makes
+    its output (or its inner caller's) non-finite."""
+    big = Tensor(np.array([1e308]))
+
+    @rerun_checked
+    def caller():
+        runs.append(label)
+        if inner is not None:
+            return inner()
+        out = mul(big, big)
+        require_finite("the product", out.data)
+        return out
+
+    return caller
+
+
+@pytest.mark.invariant
+def test_rerun_checked_reruns_a_failed_check_once_and_names_the_op():
+    runs: list[str] = []
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="'mul'"):
+        _overflowing_caller(runs, "body")()
+    assert runs == ["body", "body"]
+
+
+@pytest.mark.invariant
+def test_nested_rerun_checked_does_not_rerun_inside_a_checked_rerun():
+    """The inner caller runs unchecked, then checked; the outer caller's
+    checked re-run runs the inner one once more, checked, and no further."""
+    runs: list[str] = []
+    outer = _overflowing_caller(runs, "outer", _overflowing_caller(runs, "inner"))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="'mul'"):
+        outer()
+    assert runs.count("inner") == 3
+    assert runs.count("outer") == 2
+
+
+@pytest.mark.invariant
+def test_only_the_tensor_module_names_no_grad():
+    """Untaped callers are declared with ``rerun_checked``, which opens ``no_grad``."""
+    users = set()
+    for path in sorted(Path(charnmt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name == "no_grad":
+                users.add(path.name)
+    assert users == {"tensor.py"}
+
+
 # ---------------------------------------------------------------------------
 # per-op gradient properties
 # ---------------------------------------------------------------------------
@@ -538,6 +606,24 @@ def test_grad_check_raises_on_a_non_finite_value():
     with pytest.raises(NonFiniteError, match=r"'x' entry 2 perturbed.*'mul'"):
         grad_check(f, params)
     assert np.array_equal(params["x"].data, [0.5, 1.0, 1.5 - 1e-6, 0.2])
+
+
+def test_grad_check_calls_f_twice_plus_twice_per_checked_entry():
+    """Two forward passes for the determinism check, backward on the first
+    one's tape, then two per checked entry for its central difference."""
+    params = ParameterSet({"a": Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True),
+                           "b": Tensor(np.ones((2, 2)), requires_grad=True)})
+    calls = []
+
+    def f(p):
+        calls.append(1)
+        return tsum(mul(p["a"], p["a"])) + tsum(mul(p["b"], p["b"]))
+
+    assert grad_check(f, params, sample=2).passed
+    assert len(calls) == 2 + 2 * 4
+    calls.clear()
+    assert grad_check(f, params).passed
+    assert len(calls) == 2 + 2 * 7
 
 
 def test_grad_check_flags_detached_path():
