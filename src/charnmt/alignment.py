@@ -25,17 +25,8 @@ _COLLECT_CHUNK = 32
 
 
 @dataclass
-class AlignmentSet:
-    """One model's head-averaged cross-attention, [target_len x source_len],
-    for each sampled sentence id."""
-
-    ids: list[int]
-    maps: list[np.ndarray]
-
-
-@dataclass
 class CcaReport:
-    """Canonical correlations between two alignment sets.
+    """Canonical correlations between two models' alignment maps.
 
     ``correlations`` are sorted descending and clipped to [0, 1];
     ``rho_mean`` is the mean of the top k.
@@ -59,19 +50,22 @@ def cross_attention_maps(params: ParameterSet, config: ModelConfig,
     return maps
 
 
-def collect_alignments(params: ParameterSet, config: ModelConfig,
-                       pairs: list[tuple[str, str]], vocab: Vocabulary,
-                       n: int, seed: int) -> AlignmentSet:
-    """Sample n sentence pairs without replacement (seeded) and store each
-    one's last-layer, head-averaged cross-attention under teacher forcing."""
+def collect_alignments(models: list[tuple[ParameterSet, ModelConfig, Vocabulary]],
+                       pairs: list[tuple[str, str]], n: int,
+                       seed: int) -> tuple[list[int], list[list[np.ndarray]]]:
+    """Sample n sentence pairs without replacement (seeded), once for every
+    (params, config, vocab) model. Returns the sorted ids and, per model,
+    each sampled pair's last-layer, head-averaged cross-attention under
+    teacher forcing, [target_len x source_len], in id order."""
     if not pairs:
         raise ValueError("no sentence pairs to sample from")
     if not 1 <= n <= len(pairs):
         raise ValueError(f"sample size {n} must be in [1, {len(pairs)}]")
     rng = np.random.Generator(np.random.PCG64(seed))
     ids = sorted(rng.choice(len(pairs), size=n, replace=False).tolist())
-    maps = cross_attention_maps(params, config, [pairs[i] for i in ids], vocab)
-    return AlignmentSet(ids=ids, maps=maps)
+    sample = [pairs[i] for i in ids]
+    return ids, [cross_attention_maps(params, config, sample, vocab)
+                 for params, config, vocab in models]
 
 
 def _axis_coords(t: int, g: int) -> np.ndarray:
@@ -187,13 +181,11 @@ def dump_matrix(matrix: np.ndarray, path) -> None:
     np.savetxt(path, m, fmt="%.8e", header=f"{m.shape[0]} {m.shape[1]}", comments="")
 
 
-def alignment_report(set_a: AlignmentSet, set_b: AlignmentSet,
+def alignment_report(maps_a: list[np.ndarray], maps_b: list[np.ndarray],
                      grid: tuple[int, int] = (DEFAULT_GRID, DEFAULT_GRID),
                      k: int = DEFAULT_K, reg: float = DEFAULT_REG) -> CcaReport:
-    """CCA between two alignment sets collected over the same sentences,
-    each map projected to the grid."""
-    if set_a.ids != set_b.ids:
-        raise ValueError("alignment sets cover different sentence ids")
-    x = np.stack([project_to_grid(m, grid) for m in set_a.maps])
-    y = np.stack([project_to_grid(m, grid) for m in set_b.maps])
+    """CCA between two models' maps of the same sentences, in the same
+    order (one ``collect_alignments`` call), each projected to the grid."""
+    x = np.stack([project_to_grid(m, grid) for m in maps_a])
+    y = np.stack([project_to_grid(m, grid) for m in maps_b])
     return cca_mean_correlation(x, y, k=k, reg=reg)

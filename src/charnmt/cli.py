@@ -229,19 +229,17 @@ def cmd_analyze(args) -> None:
     for path, bundle in bundles:
         _check_fits(pairs, args.src, args.ref, bundle.config.max_len,
                     f"the max_len {bundle.config.max_len} of {path}")
-    sets = [collect_alignments(bundle.params, bundle.config, pairs, bundle.vocab, n=args.n,
-                               seed=args.seed)
-            for _, bundle in bundles]
-    report = alignment_report(sets[0], sets[1], grid=(args.grid, args.grid),
-                              k=args.k, reg=args.reg)
+    ids, maps = collect_alignments([(b.params, b.config, b.vocab) for _, b in bundles],
+                                   pairs, n=args.n, seed=args.seed)
+    report = alignment_report(*maps, grid=(args.grid, args.grid), k=args.k, reg=args.reg)
     write_lines(args.out, ["model_a,model_b,test_lang,n,grid,k,rho_mean",
                            f"{stems[0]},{stems[1]},{args.lang},{report.n},"
                            f"{args.grid}x{args.grid},{report.k},{report.rho_mean:.6f}"])
     if args.dump_attn:
-        for stem, aset in zip(stems, sets):
+        for stem, model_maps in zip(stems, maps):
             sub = Path(args.dump_attn) / stem
             sub.mkdir(parents=True, exist_ok=True)
-            for sid, matrix in zip(aset.ids, aset.maps):
+            for sid, matrix in zip(ids, model_maps):
                 dump_matrix(matrix, sub / f"sent{sid}.txt")
     print(f"rho_mean {report.rho_mean:.6f}")
 

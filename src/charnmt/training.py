@@ -9,6 +9,7 @@ checkpoint reproduces the uninterrupted trajectory bit for bit.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import time
@@ -356,10 +357,11 @@ def _write_record(f, name: str, arr: np.ndarray) -> None:
 
 
 def _read_exact(f, n: int) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise ValueError("truncated checkpoint")
-    return buf
+    """Read n bytes; a count that is negative or runs past the file's end is
+    rejected before reading, so a damaged length cannot allocate or wrap."""
+    if not 0 <= n <= os.fstat(f.fileno()).st_size - f.tell():
+        raise ValueError("truncated or damaged checkpoint")
+    return f.read(n)
 
 
 def _read_record(f) -> tuple[str, np.ndarray]:
@@ -369,7 +371,7 @@ def _read_record(f) -> tuple[str, np.ndarray]:
     if tag != _F64_TAG:
         raise ValueError(f"unknown dtype tag {tag} in checkpoint")
     shape = struct.unpack(f"<{ndim}q", _read_exact(f, 8 * ndim))
-    count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+    count = math.prod(shape)
     arr = np.frombuffer(_read_exact(f, count * _F64.itemsize), dtype=_F64)
     return name, arr.astype(np.float64).reshape(shape)
 
@@ -377,7 +379,8 @@ def _read_record(f) -> tuple[str, np.ndarray]:
 def checkpoint_save(params: ParameterSet, config: ModelConfig, vocab: Vocabulary,
                     adam: AdamState | None, path, step: int, epoch: int) -> None:
     """Binary checkpoint: magic, version byte, JSON header, then one float64
-    record per array (parameters, then Adam moments) in sorted name order.
+    record per array, sorted by record name (``adam.m/...`` and
+    ``adam.v/...`` before ``param/...``).
 
     The file is written next to ``path`` under a temporary name, synced,
     and renamed over ``path``, so a crash leaves the old file or the new
@@ -435,6 +438,9 @@ def _checkpoint_read(path) -> CheckpointBundle:
             raise ValueError(f"unsupported checkpoint version {version}")
         (header_len,) = struct.unpack("<I", _read_exact(f, 4))
         header = json.loads(_read_exact(f, header_len).decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError(f"checkpoint header must be a JSON object, not "
+                             f"{type(header).__name__}")
         (n_records,) = struct.unpack("<I", _read_exact(f, 4))
         records: dict[str, np.ndarray] = {}
         for _ in range(n_records):

@@ -1,4 +1,6 @@
-"""Shared fixtures: tiny vocabularies, models, and batches."""
+"""Shared fixtures: tiny vocabularies, models, batches, and checkpoint byte edits."""
+
+import struct
 
 import numpy as np
 import pytest
@@ -33,3 +35,11 @@ def make_batch(pairs, vocab):
 
 def rand_rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def with_first_extent(raw, extent):
+    """Checkpoint bytes with the first record's first shape entry set to ``extent``."""
+    (header_len,) = struct.unpack("<I", raw[5:9])
+    (name_len,) = struct.unpack("<H", raw[13 + header_len:15 + header_len])
+    at = 17 + header_len + name_len
+    return raw[:at] + struct.pack("<q", extent) + raw[at + 8:]

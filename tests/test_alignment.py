@@ -42,10 +42,10 @@ def align_setup():
 
 def test_collect_all_pairs_covers_every_id(align_setup):
     params, config, vocab, pairs = align_setup
-    aset = collect_alignments(params, config, pairs, vocab, n=len(pairs), seed=0)
-    assert aset.ids == list(range(len(pairs)))
+    ids, (sampled,) = collect_alignments([(params, config, vocab)], pairs, n=len(pairs), seed=0)
+    assert ids == list(range(len(pairs)))
     maps = cross_attention_maps(params, config, pairs, vocab)
-    for s, m, (src, tgt) in zip(aset.maps, maps, pairs):
+    for s, m, (src, tgt) in zip(sampled, maps, pairs):
         assert s.shape == (len(tgt) + 1, len(src) + 1)
         assert np.array_equal(s, m)
     assert cross_attention_maps(params, config, [], vocab) == []
@@ -53,31 +53,51 @@ def test_collect_all_pairs_covers_every_id(align_setup):
 
 def test_collect_rows_are_stochastic(align_setup):
     params, config, vocab, pairs = align_setup
-    aset = collect_alignments(params, config, pairs, vocab, n=10, seed=3)
-    for s in aset.maps:
+    _, (maps,) = collect_alignments([(params, config, vocab)], pairs, n=10, seed=3)
+    for s in maps:
         assert np.allclose(s.sum(axis=-1), 1.0, atol=1e-9)
         assert (s >= 0).all()
 
 
 def test_collect_is_seeded(align_setup):
     params, config, vocab, pairs = align_setup
-    a = collect_alignments(params, config, pairs, vocab, n=15, seed=5)
-    b = collect_alignments(params, config, pairs, vocab, n=15, seed=5)
-    assert a.ids == b.ids
-    for sa, sb in zip(a.maps, b.maps):
+    model = [(params, config, vocab)]
+    a_ids, (a,) = collect_alignments(model, pairs, n=15, seed=5)
+    b_ids, (b,) = collect_alignments(model, pairs, n=15, seed=5)
+    assert a_ids == b_ids
+    for sa, sb in zip(a, b):
         assert np.array_equal(sa, sb)
-    c = collect_alignments(params, config, pairs, vocab, n=15, seed=6)
-    assert a.ids != c.ids
+    c_ids, _ = collect_alignments(model, pairs, n=15, seed=6)
+    assert a_ids != c_ids
 
 
 def test_collect_validates_sample_size(align_setup):
     params, config, vocab, pairs = align_setup
+    model = [(params, config, vocab)]
     with pytest.raises(ValueError):
-        collect_alignments(params, config, pairs, vocab, n=0, seed=0)
+        collect_alignments(model, pairs, n=0, seed=0)
     with pytest.raises(ValueError):
-        collect_alignments(params, config, pairs, vocab, n=len(pairs) + 1, seed=0)
+        collect_alignments(model, pairs, n=len(pairs) + 1, seed=0)
     with pytest.raises(ValueError):
-        collect_alignments(params, config, [], vocab, n=1, seed=0)
+        collect_alignments(model, [], n=1, seed=0)
+
+
+@pytest.mark.invariant
+def test_collect_samples_once_for_every_model(align_setup):
+    params, config, vocab, pairs = align_setup
+    models = [build_params(config, seed=2), build_params(config, seed=99),
+              build_params(config, seed=2)]
+    ids, maps = collect_alignments([(p, config, vocab) for p in models], pairs, n=15, seed=4)
+    assert ids == sorted(set(ids)) and len(ids) == 15
+    assert 0 <= ids[0] and ids[-1] < len(pairs)
+    assert len(maps) == 3
+    sample = [pairs[i] for i in ids]
+    for p, model_maps in zip(models, maps):
+        expected = cross_attention_maps(p, config, sample, vocab)
+        assert len(model_maps) == 15
+        assert all(np.array_equal(m, e) for m, e in zip(model_maps, expected))
+    assert all(np.array_equal(a, b) for a, b in zip(maps[0], maps[2]))
+    assert not all(np.array_equal(a, b) for a, b in zip(maps[0], maps[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +297,7 @@ def test_cca_stays_in_the_sample_subspace(monkeypatch):
 
 def test_report_self_comparison(align_setup):
     params, config, vocab, pairs = align_setup
-    a = collect_alignments(params, config, pairs, vocab, n=12, seed=1)
-    b = collect_alignments(params, config, pairs, vocab, n=12, seed=1)
+    _, (a, b) = collect_alignments([(params, config, vocab)] * 2, pairs, n=12, seed=1)
     report = alignment_report(a, b, grid=(8, 8), k=5)
     assert report.rho_mean > 1.0 - 1e-6
     assert (report.k, report.n) == (5, 12)
@@ -286,20 +305,20 @@ def test_report_self_comparison(align_setup):
 
 def test_report_is_symmetric(align_setup):
     params, config, vocab, pairs = align_setup
-    a = collect_alignments(params, config, pairs, vocab, n=12, seed=1)
     other = build_params(config, seed=99)
-    b = collect_alignments(other, config, pairs, vocab, n=12, seed=1)
+    _, (a, b) = collect_alignments([(params, config, vocab), (other, config, vocab)], pairs,
+                                   n=12, seed=1)
     fwd = alignment_report(a, b, grid=(8, 8), k=5).rho_mean
     rev = alignment_report(b, a, grid=(8, 8), k=5).rho_mean
     assert abs(fwd - rev) < 1e-9
 
 
-def test_report_rejects_mismatched_sentences(align_setup):
-    params, config, vocab, pairs = align_setup
-    a = collect_alignments(params, config, pairs, vocab, n=12, seed=1)
-    b = collect_alignments(params, config, pairs, vocab, n=12, seed=2)
-    with pytest.raises(ValueError):
-        alignment_report(a, b, grid=(8, 8), k=5)
+@pytest.mark.invariant
+def test_report_rejects_map_lists_of_different_lengths():
+    rng = rand_rng(41)
+    maps = [rng.random((4, 5)) for _ in range(12)]
+    with pytest.raises(ValueError, match="sample counts differ"):
+        alignment_report(maps, maps[:11], grid=(8, 8), k=5)
 
 
 def _analyze(align_setup, tmp_path, *extra):
@@ -322,8 +341,9 @@ def _analyze(align_setup, tmp_path, *extra):
 def test_report_csv_layout(align_setup, tmp_path, capsys):
     _, config, vocab, pairs = align_setup
     models = _analyze(align_setup, tmp_path, "--n", "12", "--lang", "lang_a")
-    a, b = (collect_alignments(p, config, pairs, vocab, n=12, seed=1) for p in models.values())
-    rho = alignment_report(a, b, grid=(8, 8), k=5).rho_mean
+    _, maps = collect_alignments([(p, config, vocab) for p in models.values()], pairs,
+                                 n=12, seed=1)
+    rho = alignment_report(*maps, grid=(8, 8), k=5).rho_mean
     assert capsys.readouterr().out == f"rho_mean {rho:.6f}\n"
     lines = (tmp_path / "report.csv").read_text().splitlines()
     assert lines[0] == "model_a,model_b,test_lang,n,grid,k,rho_mean"
@@ -336,10 +356,11 @@ def test_report_dump_files_parse_back(align_setup, tmp_path):
     dump = tmp_path / "heat"
     models = _analyze(align_setup, tmp_path, "--n", "8", "--dump-attn", str(dump))
     assert sorted(d.name for d in dump.iterdir()) == ["conv", "standard"]
-    for stem, p in models.items():
-        aset = collect_alignments(p, config, pairs, vocab, n=8, seed=1)
+    ids, maps = collect_alignments([(p, config, vocab) for p in models.values()], pairs,
+                                   n=8, seed=1)
+    for stem, model_maps in zip(models, maps):
         assert len(list((dump / stem).iterdir())) == 8
-        for sid, m in zip(aset.ids, aset.maps):
+        for sid, m in zip(ids, model_maps):
             path = dump / stem / f"sent{sid}.txt"
             first = path.read_text().splitlines()[0].split()
             assert [int(v) for v in first] == list(m.shape)

@@ -18,6 +18,8 @@ from charnmt.decoding import greedy_decode_batch
 from charnmt.model import ModelConfig, build_params
 from charnmt.training import checkpoint_load, checkpoint_save
 
+from conftest import with_first_extent
+
 SRC_LINES = ["ab", "ba", "aab", "bba", "abab", "baba", "aa", "bb"]
 TGT_LINES = ["ab", "ab", "aab", "aab", "abab", "abab", "aa", "aa"]
 
@@ -597,7 +599,19 @@ def test_translate_truncated_checkpoint_names_it(tmp_path, capsys):
     code = main(["translate", "--ckpt", str(path), "--in", str(src),
                  "--out", str(tmp_path / "o.txt")])
     assert code == 1
-    assert capsys.readouterr().err == f"error: {path}: truncated checkpoint\n"
+    assert capsys.readouterr().err == f"error: {path}: truncated or damaged checkpoint\n"
+
+
+@pytest.mark.invariant
+def test_translate_damaged_record_extent_exits_one_naming_the_file(tmp_path, capsys):
+    path, *_ = _tiny_checkpoint(tmp_path)
+    path.write_bytes(with_first_extent(path.read_bytes(), 2**40))
+    src = tmp_path / "in.txt"
+    src.write_text("ab\n")
+    code = main(["translate", "--ckpt", str(path), "--in", str(src),
+                 "--out", str(tmp_path / "o.txt")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -680,9 +694,9 @@ def test_analyze_reg_flag_reaches_the_report(tmp_path, capsys):
                  "--k", "5", "--reg", "1.0", "--out", str(out)]) == 0
     pairs = list(zip(SRC_LINES + ["abba", "baab", "aaab", "babb"],
                      TGT_LINES + ["abab", "abab", "aaab", "abab"]))
-    sets = [collect_alignments(p, config, pairs, vocab, n=12, seed=0)
-            for p in (params_a, params_b)]
-    expected = [f"{alignment_report(*sets, grid=(8, 8), k=5, reg=reg).rho_mean:.6f}"
+    _, maps = collect_alignments([(p, config, vocab) for p in (params_a, params_b)], pairs,
+                                 n=12, seed=0)
+    expected = [f"{alignment_report(*maps, grid=(8, 8), k=5, reg=reg).rho_mean:.6f}"
                 for reg in (1.0, 1e-4)]
     assert expected[0] != expected[1]
     assert out.read_text().splitlines()[1].split(",")[-1] == expected[0]

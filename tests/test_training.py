@@ -22,7 +22,7 @@ from charnmt.training import (AdamState, TrainConfig, TrainLog, adam_step,
 from charnmt.training import _read_record, _write_record
 from oracles import adam_and_clip, brute_cross_entropy
 
-from conftest import make_batch, rand_rng
+from conftest import make_batch, rand_rng, with_first_extent
 
 
 # ---------------------------------------------------------------------------
@@ -491,13 +491,42 @@ def test_checkpoint_rejects_truncation(tmp_path):
     assert "truncated" in str(err.value)
 
 
+def _with_header_text(raw, text):
+    """Checkpoint bytes with the JSON header replaced by ``text``."""
+    (header_len,) = struct.unpack("<I", raw[5:9])
+    return raw[:5] + struct.pack("<I", len(text)) + text + raw[9 + header_len:]
+
+
+# each once escaped checkpoint_load as MemoryError, OverflowError, an
+# unnamed read error or TypeError: (damage, fragment of the error)
+_READ_DAMAGES = {
+    "extent-2**40": (lambda raw: with_first_extent(raw, 2**40), "truncated or damaged"),
+    "extent-2**61": (lambda raw: with_first_extent(raw, 2**61), "truncated or damaged"),
+    "extent--5": (lambda raw: with_first_extent(raw, -5), "truncated or damaged"),
+    "header-5": (lambda raw: _with_header_text(raw, b"5"), "must be a JSON object"),
+    "header-null": (lambda raw: _with_header_text(raw, b"null"), "must be a JSON object"),
+}
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("damage", sorted(_READ_DAMAGES))
+def test_checkpoint_damaged_extent_or_header_type_is_a_named_value_error(tmp_path, damage):
+    change, fragment = _READ_DAMAGES[damage]
+    *_, path = _ckpt_fixture(tmp_path)
+    path.write_bytes(change(path.read_bytes()))
+    with pytest.raises(ValueError) as err:
+        checkpoint_load(path)
+    assert str(err.value).startswith(f"{path}: ") and fragment in str(err.value)
+
+
 def _rewrite_records(path, change):
     """Pass a float64 checkpoint's records through ``change`` and write them back."""
     raw = path.read_bytes()
     (header_len,) = struct.unpack("<I", raw[5:9])
-    body = io.BytesIO(raw[9 + header_len:])
-    (n_records,) = struct.unpack("<I", body.read(4))
-    records = change([_read_record(body) for _ in range(n_records)])
+    with open(path, "rb") as body:  # _read_record sizes its reads from the file
+        body.seek(9 + header_len)
+        (n_records,) = struct.unpack("<I", body.read(4))
+        records = change([_read_record(body) for _ in range(n_records)])
     out = io.BytesIO()
     out.write(raw[:9 + header_len])
     out.write(struct.pack("<I", len(records)))
