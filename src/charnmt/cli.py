@@ -108,6 +108,12 @@ def _load_table(path) -> TransliterationTable | None:
     return TransliterationTable.from_tsv(path) if path else None
 
 
+def _transliterated(lines: list[str], table_path) -> list[str]:
+    """Source lines through the ``--translit`` table, as training's sources were."""
+    table = _load_table(table_path)
+    return lines if table is None else [transliterate(line, table) for line in lines]
+
+
 def _load_entry(entry: dict, table: TransliterationTable | None) -> ParallelCorpus:
     corpus = load_parallel(entry["src"], entry["tgt"])
     if table is not None:
@@ -178,10 +184,7 @@ def cmd_train(args) -> None:
 def cmd_translate(args) -> None:
     dcfg = DecodeConfig(beam_size=args.beam)
     bundle = checkpoint_load(args.ckpt)
-    table = _load_table(args.translit)
-    lines = read_lines(args.infile)
-    if table is not None:
-        lines = [transliterate(line, table) for line in lines]
+    lines = _transliterated(read_lines(args.infile), args.translit)
     unknown = sum(1 for line in lines for ch in line
                   if bundle.vocab.id_for(ch) == UNK_ID)
     if unknown:
@@ -224,7 +227,8 @@ def cmd_analyze(args) -> None:
         raise ValueError(f"--dump-attn writes each model's maps under its checkpoint's "
                          f"stem, but {args.ckpt_a} and {args.ckpt_b} share the stem "
                          f"'{stems[0]}'")
-    pairs = list(zip(*_read_paired(args.src, args.ref)))
+    srcs, refs = _read_paired(args.src, args.ref)
+    pairs = list(zip(_transliterated(srcs, args.translit), refs))
     bundles = [(path, checkpoint_load(path)) for path in (args.ckpt_a, args.ckpt_b)]
     for path, bundle in bundles:
         _check_fits(pairs, args.src, args.ref, bundle.config.max_len,
@@ -293,6 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--k", type=int, default=DEFAULT_K)
     pa.add_argument("--reg", type=float, default=DEFAULT_REG)
     pa.add_argument("--lang", default="")
+    pa.add_argument("--translit", default=None, help="TSV latinization table for --src")
     pa.add_argument("--out", required=True)
     pa.add_argument("--dump-attn", default=None, dest="dump_attn")
     pa.set_defaults(func=cmd_analyze)

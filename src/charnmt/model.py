@@ -299,6 +299,12 @@ def _embed(ids: np.ndarray, params: ParameterSet, which: str, config: ModelConfi
 # encoder / decoder
 # ---------------------------------------------------------------------------
 
+def _unless_all_true(mask: np.ndarray) -> np.ndarray | None:
+    """``mask``, or None when it keeps every position: an all-True mask gives
+    the softmax of no mask bit for bit, so it is not worth passing."""
+    return None if mask.all() else mask
+
+
 def encoder_forward(batch, params: ParameterSet, config: ModelConfig,
                     rng: np.random.Generator | None = None) -> Tensor:
     """Run the encoder stack over ``batch.src_ids`` -> [B, T_s, d_model].
@@ -312,7 +318,7 @@ def encoder_forward(batch, params: ParameterSet, config: ModelConfig,
     if ids.shape[0] == 0 or ids.shape[1] == 0 or not src_mask.any(axis=1).all():
         raise ShapeError("encoder requires a non-empty source in every row")
     x = _embed(ids, params, "src_embed", config, rng)
-    key_mask = src_mask[:, None, None, :]  # [B,1,1,T_s]
+    key_mask = _unless_all_true(src_mask[:, None, None, :])  # [B,1,1,T_s]
     for i in range(config.n_layers):
         if config.encoder_kind == "conv":
             x = conv_sub_block(x, params, f"enc.{i}.conv", src_mask)
@@ -327,31 +333,43 @@ class DecoderState:
     """The keys and values the decoder attends over, beside its new positions' own.
 
     ``cross`` holds each layer's cross-attention keys and values, projected
-    once per source row from the encoder output, and ``cross_mask`` the
-    source key mask of each row (True = real). ``past`` holds each layer's
-    self-attention keys and values of the ``length`` positions run so far;
-    a fresh state has none. Target padding needs no mask here: it is right
-    padding, so the causal mask hides it from every real position. Every
-    array has one row per row of the last call; without ``reorder``, row i
-    continues row i. Reordering copies, so it cuts any tape through the past.
+    once per source row from the encoder output, ``cross_mask`` the source
+    key mask [B, 1, 1, T_s] (True = real), or None when no row has source
+    padding, and ``src_rows`` the source row of each row. ``past`` holds
+    each layer's self-attention keys and values of the ``length`` positions
+    run so far; a fresh state has none. Target padding needs no mask here:
+    it is right padding, so the causal mask hides it from every real
+    position. Every array has one row per row of the last call; without
+    ``reorder``, row i continues row i. A reorder that moves rows copies
+    them, so it cuts any tape through the past.
     """
 
     def __init__(self, enc_out: Tensor, src_mask: np.ndarray, params: ParameterSet,
                  config: ModelConfig):
         self.cross = [_keys_values(enc_out, params, f"dec.{i}.cross_attn", config.n_heads)
                       for i in range(config.n_layers)]
-        self.cross_mask = src_mask
+        self.cross_mask = _unless_all_true(src_mask[:, None, None, :])
+        self.src_rows = np.arange(len(src_mask))
         self.past: list[tuple[Tensor, Tensor] | None] = [None] * config.n_layers
         self.length = 0
 
     def reorder(self, parents: np.ndarray) -> None:
         """Row j of the next call continues row ``parents[j]`` of the last
-        call: its source row as well as its past."""
+        call: its source row as well as its past. Identity parents change
+        nothing, and the cross-attention arrays are gathered only when some
+        row's source row changes."""
+        if np.array_equal(parents, np.arange(len(self.src_rows))):
+            return
+
         def take(kv: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
             return Tensor(kv[0].data[parents]), Tensor(kv[1].data[parents])
 
-        self.cross = [take(kv) for kv in self.cross]
-        self.cross_mask = self.cross_mask[parents]
+        rows = self.src_rows[parents]
+        if not np.array_equal(rows, self.src_rows):
+            self.cross = [take(kv) for kv in self.cross]
+            if self.cross_mask is not None:
+                self.cross_mask = _unless_all_true(self.cross_mask[parents])
+            self.src_rows = rows
         self.past = [None if kv is None else take(kv) for kv in self.past]
 
     def _extend(self, layer: int, kv: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
@@ -379,8 +397,8 @@ def decoder_forward(batch, state: DecoderState, params: ParameterSet, config: Mo
     ids = batch.tgt_in_ids
     start, t = state.length, ids.shape[1]
     x = _embed(ids, params, "tgt_embed", config, rng, start)
-    self_mask = np.tri(t, start + t, start, dtype=bool)
-    cross_mask = state.cross_mask[:, None, None, :]
+    # one new position sees every key, so only a longer call needs the causal mask
+    self_mask = None if t == 1 else np.tri(t, start + t, start, dtype=bool)
     cross_maps: list[Tensor] = []
     for i in range(config.n_layers):
         prefix = f"dec.{i}.self_attn"
@@ -388,7 +406,7 @@ def decoder_forward(batch, state: DecoderState, params: ParameterSet, config: Mo
         a, _ = _attend(x, kv, params, prefix, config.n_heads, self_mask)
         x = _sublayer(x, a, params, f"dec.{i}.self_norm", config, rng)
         c, attn = _attend(x, state.cross[i], params, f"dec.{i}.cross_attn", config.n_heads,
-                          cross_mask)
+                          state.cross_mask)
         cross_maps.append(attn)
         x = _sublayer(x, c, params, f"dec.{i}.cross_norm", config, rng)
         f = _ffn(x, params, f"dec.{i}.ff")

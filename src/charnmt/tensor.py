@@ -319,12 +319,20 @@ def softmax_lastdim(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
     ``mask`` is a boolean array broadcastable to ``x`` with True marking
     positions to keep; masked positions receive an additive -1e9 and come
-    out exactly 0. A slice with every position masked is an error.
+    out exactly 0. A slice with every position masked is an error. The
+    mask is checked and turned into its -1e9 term at its own shape, which
+    the addition broadcasts. An all-True mask gives the output of no mask
+    bit for bit: adding 0.0 changes only the sign of a zero logit, which
+    ``exp(z - max)`` erases.
     """
     z = x.data
     if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        if np.any(~mask.any(axis=-1)):
+        mask = np.atleast_1d(np.asarray(mask, dtype=bool))
+        if mask.ndim > x.ndim or any(m not in (1, n) for m, n in
+                                     zip(mask.shape[::-1], x.shape[::-1])):
+            raise ShapeError(f"softmax mask of shape {mask.shape} does not broadcast to "
+                             f"the input's {x.shape}")
+        if not mask.any(axis=-1).all():
             raise MaskError("softmax slice with all positions masked")
         z = z + np.where(mask, 0.0, MASK_NEG)
     e = np.exp(z - z.max(axis=-1, keepdims=True))

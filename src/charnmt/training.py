@@ -437,7 +437,11 @@ def _checkpoint_read(path) -> CheckpointBundle:
         if version != CKPT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         (header_len,) = struct.unpack("<I", _read_exact(f, 4))
-        header = json.loads(_read_exact(f, header_len).decode("utf-8"))
+        text = _read_exact(f, header_len).decode("utf-8")
+        try:
+            header = json.loads(text)
+        except RecursionError:
+            raise ValueError("checkpoint header is nested too deeply") from None
         if not isinstance(header, dict):
             raise ValueError(f"checkpoint header must be a JSON object, not "
                              f"{type(header).__name__}")

@@ -43,3 +43,13 @@ def with_first_extent(raw, extent):
     (name_len,) = struct.unpack("<H", raw[13 + header_len:15 + header_len])
     at = 17 + header_len + name_len
     return raw[:at] + struct.pack("<q", extent) + raw[at + 8:]
+
+
+# a JSON header too deeply nested for the json module's recursion limit
+NESTED_HEADER = b"[" * 200_000 + b"]" * 200_000
+
+
+def with_header_text(raw, text):
+    """Checkpoint bytes with the JSON header replaced by ``text``."""
+    (header_len,) = struct.unpack("<I", raw[5:9])
+    return raw[:5] + struct.pack("<I", len(text)) + text + raw[9 + header_len:]

@@ -13,12 +13,13 @@ import pytest
 from charnmt.alignment import alignment_report, collect_alignments, cross_attention_maps
 from charnmt.bleu import corpus_bleu
 from charnmt.cli import _ENTRY_KEYS, main, resolve_run_config
-from charnmt.data import ParallelCorpus, build_vocab
+from charnmt.data import (UNK_ID, ParallelCorpus, TransliterationTable, build_vocab,
+                          transliterate)
 from charnmt.decoding import greedy_decode_batch
 from charnmt.model import ModelConfig, build_params
 from charnmt.training import checkpoint_load, checkpoint_save
 
-from conftest import with_first_extent
+from conftest import NESTED_HEADER, with_first_extent, with_header_text
 
 SRC_LINES = ["ab", "ba", "aab", "bba", "abab", "baba", "aa", "bb"]
 TGT_LINES = ["ab", "ab", "aab", "aab", "abab", "abab", "aa", "aa"]
@@ -614,6 +615,19 @@ def test_translate_damaged_record_extent_exits_one_naming_the_file(tmp_path, cap
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
+@pytest.mark.invariant
+def test_translate_deeply_nested_header_exits_one_naming_the_file(tmp_path, capsys):
+    path, *_ = _tiny_checkpoint(tmp_path)
+    path.write_bytes(with_header_text(path.read_bytes(), NESTED_HEADER))
+    src = tmp_path / "in.txt"
+    src.write_text("ab\n")
+    code = main(["translate", "--ckpt", str(path), "--in", str(src),
+                 "--out", str(tmp_path / "o.txt")])
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: {path}: checkpoint header is nested "
+                                       f"too deeply\n")
+
+
 # ---------------------------------------------------------------------------
 # score
 # ---------------------------------------------------------------------------
@@ -698,6 +712,41 @@ def test_analyze_reg_flag_reaches_the_report(tmp_path, capsys):
                                  n=12, seed=0)
     expected = [f"{alignment_report(*maps, grid=(8, 8), k=5, reg=reg).rho_mean:.6f}"
                 for reg in (1.0, 1e-4)]
+    assert expected[0] != expected[1]
+    assert out.read_text().splitlines()[1].split(",")[-1] == expected[0]
+    assert capsys.readouterr().out == f"rho_mean {expected[0]}\n"
+
+
+@pytest.mark.invariant
+def test_analyze_translit_reads_sources_as_training_did(tmp_path, capsys):
+    """--translit latinizes analyze's --src lines as translate's: models whose
+    vocabulary holds only the latinized sources are compared on those lines,
+    in which no character is UNK."""
+    table_path = tmp_path / "table.tsv"
+    table_path.write_text("\u03b1\tqa\n\u03b2\tqb\n", encoding="utf-8")
+    table = TransliterationTable.from_tsv(table_path)
+    greek = [line.translate({ord("a"): "\u03b1", ord("b"): "\u03b2"}) for line in SRC_LINES]
+    latin = [transliterate(line, table) for line in greek]
+    vocab = build_vocab([ParallelCorpus(pairs=list(zip(latin, TGT_LINES)))], 1)
+    assert all(vocab.id_for(ch) != UNK_ID for line in latin for ch in line)
+    assert all(vocab.id_for(ch) == UNK_ID for ch in "\u03b1\u03b2")
+    config = ModelConfig(vocab_size=vocab.size, d_model=16, n_layers=1,
+                         n_heads=2, d_ff=32, max_len=64, dropout=0.0)
+    models = [(build_params(config, seed=seed), config, vocab) for seed in (0, 1)]
+    for name, (params, *_) in zip(("a.ckpt", "b.ckpt"), models):
+        checkpoint_save(params, config, vocab, None, tmp_path / name, step=0, epoch=0)
+    src, ref = tmp_path / "test.src", tmp_path / "test.ref"
+    src.write_text("\n".join(greek) + "\n", encoding="utf-8")
+    ref.write_text("\n".join(TGT_LINES) + "\n")
+    out = tmp_path / "report.csv"
+    assert main(["analyze", "--ckpt-a", str(tmp_path / "a.ckpt"),
+                 "--ckpt-b", str(tmp_path / "b.ckpt"), "--src", str(src), "--ref", str(ref),
+                 "--n", "8", "--grid", "8", "--k", "5", "--out", str(out),
+                 "--translit", str(table_path)]) == 0
+    expected = []
+    for srcs in (latin, greek):
+        _, maps = collect_alignments(models, list(zip(srcs, TGT_LINES)), n=8, seed=0)
+        expected.append(f"{alignment_report(*maps, grid=(8, 8), k=5).rho_mean:.6f}")
     assert expected[0] != expected[1]
     assert out.read_text().splitlines()[1].split(",")[-1] == expected[0]
     assert capsys.readouterr().out == f"rho_mean {expected[0]}\n"

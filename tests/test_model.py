@@ -326,18 +326,35 @@ def test_cached_steps_match_straight_line_decoder(tiny_vocab, kind):
 def test_reorder_carries_each_rows_source_mask(tiny_vocab, kind):
     """A state reordered onto rows with different source padding attends as
     a teacher-forced pass over those rows does, and never onto pad keys,
-    after a second reorder too: each row keeps its parent's source row."""
+    after every later reorder too: each row keeps its parent's source row.
+    Only a reorder onto other source rows gathers the cross-attention keys,
+    values and mask; one that keeps every row's source row, or the identity,
+    keeps the state's arrays themselves."""
     params, config = _cache_model(tiny_vocab, kind, seed=35)
     pairs = [("abcd", "dcba"), ("ab", "ba")]
     batch = make_batch(pairs, tiny_vocab)
     assert not batch.src_mask.all()
     state = DecoderState(encoder_forward(batch, params, config), batch.src_mask, params,
                          config)
-    # the BOS step on source rows [1, 0, 1], then position 1 continuing rows 2 and 1
-    for pos, parents, rows in ((0, [1, 0, 1], [1, 0, 1]), (1, [2, 1], [1, 0])):
+    # the BOS step on source rows [1, 0, 1], position 1 on the same source rows
+    # with rows 0 and 2 swapped, position 2 unmoved, position 3 continuing rows
+    # 2 and 1, then position 4 with those two swapped:
+    # (position, parents, source rows, whether cross is gathered)
+    for pos, parents, rows, gathers in ((0, [1, 0, 1], [1, 0, 1], True),
+                                        (1, [2, 1, 0], [1, 0, 1], False),
+                                        (2, [0, 1, 2], [1, 0, 1], False),
+                                        (3, [2, 1], [1, 0], True),
+                                        (4, [1, 0], [0, 1], True)):
         forced = make_batch([pairs[r] for r in rows], tiny_vocab)
         full, full_cross = model_forward(forced, params, config)
+        before = [state.cross_mask, *(a for kv in state.cross for a in kv)]
+        past = list(state.past)
         state.reorder(np.asarray(parents))
+        after = [state.cross_mask, *(a for kv in state.cross for a in kv)]
+        assert [a is b for a, b in zip(before, after)] == [not gathers] * len(before)
+        assert np.array_equal(state.src_rows, rows)
+        if parents == list(range(len(parents))):
+            assert all(a is b for a, b in zip(past, state.past))
         tok = forced.tgt_in_ids[:, pos:pos + 1]
         logits, cross = decoder_forward(Batch(tok[:, :0], tok, tok),
                                         state, params, config)

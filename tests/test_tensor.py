@@ -115,10 +115,47 @@ def test_softmax_mask_zeroes_positions():
     assert np.array_equal(out.data, [0.5, 0.5, 0.0])
 
 
+@pytest.mark.invariant
 def test_softmax_fully_masked_slice_is_error():
+    """The all-masked check reads the mask at its own shape: a False key row
+    of a mask that broadcasts over queries, or a False entry of one that
+    broadcasts over keys, still masks every key of some slice."""
     with pytest.raises(MaskError):
         softmax_lastdim(Tensor(np.ones((2, 3))),
                         mask=np.array([[True, True, True], [False, False, False]]))
+    for mask_shape in ((2, 1, 4), (2, 3, 1), (1, 1, 1)):
+        mask = np.ones(mask_shape, dtype=bool)
+        mask[(-1,) * (len(mask_shape) - 1)] = False  # the last slice along the key axis
+        with pytest.raises(MaskError):
+            softmax_lastdim(Tensor(np.ones((2, 3, 4))), mask=mask)
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("mask_shape", [(2, 3, 5), (2, 1, 5), (3, 1), (5,), ()])
+def test_softmax_all_true_mask_is_no_mask_bit_for_bit(mask_shape):
+    """Adding the all-True mask's 0.0 turns a -0.0 logit into +0.0 and
+    changes nothing else, and exp(z - max) erases that sign: forward and
+    backward equal mask=None bit for bit, whatever the mask broadcasts over."""
+    x = rand_rng(5).normal(scale=3.0, size=(2, 3, 5))
+    x[0, 0, :3] = [-0.0, 1e3, -1e3]
+    x[1, 2] = -0.0
+    g = rand_rng(6).normal(size=x.shape)
+    got = []
+    for mask in (None, np.ones(mask_shape, dtype=bool)):
+        xt = Tensor(x.copy(), requires_grad=True)
+        y = softmax_lastdim(xt, mask)
+        tsum(y * Tensor(g)).backward()
+        got.append((y.data.tobytes(), xt.grad.tobytes()))
+    assert got[0] == got[1]
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("mask_shape", [(2, 4), (3, 2, 3), (4, 3)])
+def test_softmax_mask_that_does_not_broadcast_names_both_shapes(mask_shape):
+    """A mask must broadcast to the input without enlarging it."""
+    with pytest.raises(ShapeError) as err:
+        softmax_lastdim(Tensor(np.ones((2, 3))), mask=np.ones(mask_shape, dtype=bool))
+    assert str(mask_shape) in str(err.value) and "(2, 3)" in str(err.value)
 
 
 @pytest.mark.invariant

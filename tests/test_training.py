@@ -22,7 +22,7 @@ from charnmt.training import (AdamState, TrainConfig, TrainLog, adam_step,
 from charnmt.training import _read_record, _write_record
 from oracles import adam_and_clip, brute_cross_entropy
 
-from conftest import make_batch, rand_rng, with_first_extent
+from conftest import NESTED_HEADER, make_batch, rand_rng, with_first_extent, with_header_text
 
 
 # ---------------------------------------------------------------------------
@@ -491,20 +491,15 @@ def test_checkpoint_rejects_truncation(tmp_path):
     assert "truncated" in str(err.value)
 
 
-def _with_header_text(raw, text):
-    """Checkpoint bytes with the JSON header replaced by ``text``."""
-    (header_len,) = struct.unpack("<I", raw[5:9])
-    return raw[:5] + struct.pack("<I", len(text)) + text + raw[9 + header_len:]
-
-
 # each once escaped checkpoint_load as MemoryError, OverflowError, an
-# unnamed read error or TypeError: (damage, fragment of the error)
+# unnamed read error, TypeError or RecursionError: (damage, fragment of the error)
 _READ_DAMAGES = {
     "extent-2**40": (lambda raw: with_first_extent(raw, 2**40), "truncated or damaged"),
     "extent-2**61": (lambda raw: with_first_extent(raw, 2**61), "truncated or damaged"),
     "extent--5": (lambda raw: with_first_extent(raw, -5), "truncated or damaged"),
-    "header-5": (lambda raw: _with_header_text(raw, b"5"), "must be a JSON object"),
-    "header-null": (lambda raw: _with_header_text(raw, b"null"), "must be a JSON object"),
+    "header-5": (lambda raw: with_header_text(raw, b"5"), "must be a JSON object"),
+    "header-null": (lambda raw: with_header_text(raw, b"null"), "must be a JSON object"),
+    "header-nested": (lambda raw: with_header_text(raw, NESTED_HEADER), "nested too deeply"),
 }
 
 
