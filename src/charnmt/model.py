@@ -26,6 +26,7 @@ from .tensor import (
     ParameterSet,
     ShapeError,
     Tensor,
+    attention,
     concat,
     conv1d_same,
     dropout,
@@ -33,14 +34,11 @@ from .tensor import (
     init_param,
     layer_norm,
     linear,
-    matmul,
+    matmul,  # noqa: F401  (unused; perfbench's tracer test wraps charnmt.model.matmul)
     relu,
     require_finite,
     rerun_checked,
-    reshape,
     seed_for_name,
-    softmax_lastdim,
-    transpose,
 )
 
 ENCODER_KINDS = ("standard", "conv")
@@ -189,52 +187,20 @@ def sinusoidal_positions(max_len: int, d_model: int) -> np.ndarray:
     return enc
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
-                         mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """softmax(Q K^T / sqrt(d_k)) V over the last two axes.
-
-    Shapes are [..., T_q, d_k], [..., T_k, d_k], [..., T_k, d_v] with
-    matching leading dims. Returns the output and the attention matrix
-    [..., T_q, T_k].
-    """
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"query/key depth mismatch: {q.shape} vs {k.shape}")
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    logits = matmul(q, transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))) * scale
-    attn = softmax_lastdim(logits, mask)
-    return matmul(attn, v), attn
-
-
 def _linear(x: Tensor, params: ParameterSet, prefix: str) -> Tensor:
     return linear(x, params[f"{prefix}.weight"], params[f"{prefix}.bias"])
 
 
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
-    b, t, d = x.shape
-    if d % n_heads != 0:
-        raise ShapeError(f"d_model {d} not divisible by n_heads {n_heads}")
-    return transpose(reshape(x, (b, t, n_heads, d // n_heads)), (0, 2, 1, 3))
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    b, h, t, dk = x.shape
-    return reshape(transpose(x, (0, 2, 1, 3)), (b, t, h * dk))
-
-
-def _keys_values(x_kv: Tensor, params: ParameterSet, prefix: str,
-                 n_heads: int) -> tuple[Tensor, Tensor]:
-    """Project ``x_kv`` [B, T_k, d_model] to per-head keys and values [B, n_heads, T_k, d_k]."""
-    return (_split_heads(_linear(x_kv, params, f"{prefix}.k_proj"), n_heads),
-            _split_heads(_linear(x_kv, params, f"{prefix}.v_proj"), n_heads))
+def _keys_values(x_kv: Tensor, params: ParameterSet, prefix: str) -> tuple[Tensor, Tensor]:
+    """Project ``x_kv`` [B, T_k, d_model] to keys and values [B, T_k, d_model]."""
+    return _linear(x_kv, params, f"{prefix}.k_proj"), _linear(x_kv, params, f"{prefix}.v_proj")
 
 
 def _attend(x_q: Tensor, kv: tuple[Tensor, Tensor], params: ParameterSet, prefix: str,
             n_heads: int, mask: np.ndarray | None) -> tuple[Tensor, Tensor]:
-    """Attention of the projected queries of ``x_q`` over per-head keys and values."""
-    q = _split_heads(_linear(x_q, params, f"{prefix}.q_proj"), n_heads)
-    ctx, attn = scaled_dot_attention(q, *kv, mask)
-    out = _linear(_merge_heads(ctx), params, f"{prefix}.out_proj")
-    return out, attn
+    """Attention of the projected queries of ``x_q`` over projected keys and values."""
+    ctx, attn = attention(_linear(x_q, params, f"{prefix}.q_proj"), *kv, n_heads, mask)
+    return _linear(ctx, params, f"{prefix}.out_proj"), attn
 
 
 def multi_head_attention(x_q: Tensor, x_kv: Tensor, params: ParameterSet, prefix: str,
@@ -245,10 +211,9 @@ def multi_head_attention(x_q: Tensor, x_kv: Tensor, params: ParameterSet, prefix
     ``x_q`` is [B, T_q, d_model], ``x_kv`` is [B, T_k, d_model]; ``mask`` must
     broadcast to [B, n_heads, T_q, T_k]. Returns the projected output
     [B, T_q, d_model] and the per-head attention matrices
-    [B, n_heads, T_q, T_k].
+    [B, n_heads, T_q, T_k], untaped.
     """
-    return _attend(x_q, _keys_values(x_kv, params, prefix, n_heads), params, prefix,
-                   n_heads, mask)
+    return _attend(x_q, _keys_values(x_kv, params, prefix), params, prefix, n_heads, mask)
 
 
 def conv_sub_block(m: Tensor, params: ParameterSet, prefix: str, pad_mask: np.ndarray) -> Tensor:
@@ -332,21 +297,24 @@ def encoder_forward(batch, params: ParameterSet, config: ModelConfig,
 class DecoderState:
     """The keys and values the decoder attends over, beside its new positions' own.
 
-    ``cross`` holds each layer's cross-attention keys and values, projected
-    once per source row from the encoder output, ``cross_mask`` the source
-    key mask [B, 1, 1, T_s] (True = real), or None when no row has source
-    padding, and ``src_rows`` the source row of each row. ``past`` holds
-    each layer's self-attention keys and values of the ``length`` positions
-    run so far; a fresh state has none. Target padding needs no mask here:
-    it is right padding, so the causal mask hides it from every real
-    position. Every array has one row per row of the last call; without
-    ``reorder``, row i continues row i. A reorder that moves rows copies
-    them, so it cuts any tape through the past.
+    ``cross`` holds each layer's cross-attention keys and values
+    [B, T_s, d_model], projected once per source row from the encoder
+    output, ``cross_mask`` the source key mask [B, 1, 1, T_s] (True =
+    real), or None when no row has source padding, and ``src_rows`` the
+    source row of each row. ``past`` holds each layer's self-attention keys
+    and values of the ``length`` positions run so far, [B, length, d_model]
+    with each call's positions concatenated along time; a fresh state has
+    none. Keys and values stay unsplit: ``attention`` splits the heads as
+    views. Target padding needs no mask here: it is right padding, so the
+    causal mask hides it from every real position. Every array has one row
+    per row of the last call; without ``reorder``, row i continues row i. A
+    reorder that moves rows copies them, so it cuts any tape through the
+    past.
     """
 
     def __init__(self, enc_out: Tensor, src_mask: np.ndarray, params: ParameterSet,
                  config: ModelConfig):
-        self.cross = [_keys_values(enc_out, params, f"dec.{i}.cross_attn", config.n_heads)
+        self.cross = [_keys_values(enc_out, params, f"dec.{i}.cross_attn")
                       for i in range(config.n_layers)]
         self.cross_mask = _unless_all_true(src_mask[:, None, None, :])
         self.src_rows = np.arange(len(src_mask))
@@ -375,7 +343,7 @@ class DecoderState:
     def _extend(self, layer: int, kv: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
         past = self.past[layer]
         if past is not None:
-            kv = (concat([past[0], kv[0]], axis=2), concat([past[1], kv[1]], axis=2))
+            kv = (concat([past[0], kv[0]], axis=1), concat([past[1], kv[1]], axis=1))
         self.past[layer] = kv
         return kv
 
@@ -402,7 +370,7 @@ def decoder_forward(batch, state: DecoderState, params: ParameterSet, config: Mo
     cross_maps: list[Tensor] = []
     for i in range(config.n_layers):
         prefix = f"dec.{i}.self_attn"
-        kv = state._extend(i, _keys_values(x, params, prefix, config.n_heads))
+        kv = state._extend(i, _keys_values(x, params, prefix))
         a, _ = _attend(x, kv, params, prefix, config.n_heads, self_mask)
         x = _sublayer(x, a, params, f"dec.{i}.self_norm", config, rng)
         c, attn = _attend(x, state.cross[i], params, f"dec.{i}.cross_attn", config.n_heads,

@@ -1,10 +1,13 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Implements exactly the operations the encoder/decoder models need:
-broadcasting elementwise arithmetic, (batched) matmul, the affine map
-``linear`` (x @ W + b as one op), masked softmax and log-softmax over the
+broadcasting elementwise arithmetic, the affine map ``linear`` (x @ W + b
+as one op), multi-head scaled dot-product ``attention`` (head split, both
+products, masked softmax and head merge as one op), log-softmax over the
 last axis, layer normalization, same-padded 1D convolution, embedding
-lookup, dropout, shape ops, and reductions.
+lookup, dropout, concatenation, and reductions. (Batched) ``matmul`` and
+the masked ``softmax_lastdim`` stay as standalone ops with the arithmetic
+that ``linear`` and ``attention`` fuse.
 
 Gradients: the first gradient that reaches an intermediate tensor is
 copied into a fresh array laid out like its data, and later ones are added
@@ -63,7 +66,7 @@ def no_grad():
 
 
 # ops whose output holds only input values (or zeros): finite in, finite out
-_PASS_THROUGH = frozenset({"reshape", "transpose", "concat", "embedding", "relu"})
+_PASS_THROUGH = frozenset({"concat", "embedding", "relu"})
 
 
 def _finite(arr: np.ndarray) -> bool:
@@ -314,6 +317,30 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # softmax family
 # ---------------------------------------------------------------------------
 
+def _masked_logits(z: np.ndarray, mask: np.ndarray, what: str) -> np.ndarray:
+    """``z`` plus -1e9 where ``mask`` is False. The mask must broadcast to
+    ``z`` without enlarging it, and keep some position of every slice; it
+    is checked and turned into its -1e9 term at its own shape, which the
+    addition broadcasts."""
+    mask = np.atleast_1d(np.asarray(mask, dtype=bool))
+    if mask.ndim > z.ndim or any(m not in (1, n) for m, n in
+                                 zip(mask.shape[::-1], z.shape[::-1])):
+        raise ShapeError(f"{what} mask of shape {mask.shape} does not broadcast to "
+                         f"the input's {z.shape}")
+    if not mask.any(axis=-1).all():
+        raise MaskError(f"{what} slice with all positions masked")
+    return z + np.where(mask, 0.0, MASK_NEG)
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
 def softmax_lastdim(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Softmax over the last axis, numerically stabilized by max-subtraction.
 
@@ -325,23 +352,52 @@ def softmax_lastdim(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     bit for bit: adding 0.0 changes only the sign of a zero logit, which
     ``exp(z - max)`` erases.
     """
-    z = x.data
-    if mask is not None:
-        mask = np.atleast_1d(np.asarray(mask, dtype=bool))
-        if mask.ndim > x.ndim or any(m not in (1, n) for m, n in
-                                     zip(mask.shape[::-1], x.shape[::-1])):
-            raise ShapeError(f"softmax mask of shape {mask.shape} does not broadcast to "
-                             f"the input's {x.shape}")
-        if not mask.any(axis=-1).all():
-            raise MaskError("softmax slice with all positions masked")
-        z = z + np.where(mask, 0.0, MASK_NEG)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax(x.data if mask is None else _masked_logits(x.data, mask, "softmax"))
+    return _make("softmax_lastdim", y, (x,), lambda g: (_softmax_grad(y, g),))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+              mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """Multi-head scaled dot-product attention, softmax(Q K^T / sqrt(d_k)) V
+    per head, as one op.
+
+    ``q`` is [B, T_q, d], ``k`` and ``v`` are [B, T_k, d]; each is split into
+    ``n_heads`` heads of depth d_k = d / n_heads. ``mask`` is as for
+    ``softmax_lastdim``, against the logits [B, n_heads, T_q, T_k]. Returns
+    the context with its heads merged back, [B, T_q, d], and the attention
+    map [B, n_heads, T_q, T_k] as an untaped tensor: nothing differentiates
+    through the map. Rounds exactly as the chain of head split, matmul,
+    scale, ``softmax_lastdim``, matmul and head merge ops: the products run
+    on the same head views, and the context gradient is copied contiguous
+    first, as the tape copied it.
+    """
+    if q.ndim != 3 or k.ndim != 3 or v.shape != k.shape or n_heads < 1 or \
+            (q.shape[0], q.shape[2]) != (k.shape[0], k.shape[2]) or q.shape[2] % n_heads:
+        raise ShapeError(f"attention with {n_heads} heads takes q [B, T_q, d] and k, v "
+                         f"[B, T_k, d], d divisible by the heads; got q {q.shape}, "
+                         f"k {k.shape} and v {v.shape}")
+    b, tq, d = q.shape
+    tk = k.shape[1]
+    dk = d // n_heads
+    scale = 1.0 / math.sqrt(dk)
+    qh = q.data.reshape(b, tq, n_heads, dk).transpose(0, 2, 1, 3)
+    kt = k.data.reshape(b, tk, n_heads, dk).transpose(0, 2, 3, 1)
+    vh = v.data.reshape(b, tk, n_heads, dk).transpose(0, 2, 1, 3)
+    z = np.matmul(qh, kt) * scale
+    y = _softmax(z if mask is None else _masked_logits(z, mask, "attention"))
+    ctx = np.matmul(y, vh).transpose(0, 2, 1, 3).reshape(b, tq, d)
 
     def backward(g):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+        gctx = np.ascontiguousarray(g.reshape(b, tq, n_heads, dk).transpose(0, 2, 1, 3))
+        gz = _softmax_grad(y, np.matmul(gctx, np.swapaxes(vh, -1, -2))) * scale
+        gq = np.matmul(gz, np.swapaxes(kt, -1, -2))
+        gkt = np.matmul(np.swapaxes(qh, -1, -2), gz)
+        gv = np.matmul(np.swapaxes(y, -1, -2), gctx)
+        return (gq.transpose(0, 2, 1, 3).reshape(b, tq, d),
+                gkt.transpose(0, 3, 1, 2).reshape(b, tk, d),
+                gv.transpose(0, 2, 1, 3).reshape(b, tk, d))
 
-    return _make("softmax_lastdim", y, (x,), backward)
+    return _make("attention", ctx, (q, k, v), backward), Tensor(y)
 
 
 def log_softmax_lastdim(x: Tensor) -> Tensor:
@@ -429,27 +485,8 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# shape ops and reductions
+# concatenation and reductions
 # ---------------------------------------------------------------------------
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = x.data.reshape(shape)
-    orig = x.shape
-
-    def backward(g):
-        return (g.reshape(orig),)
-
-    return _make("reshape", out, (x,), backward)
-
-
-def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    out = np.transpose(x.data, axes)
-
-    def backward(g):
-        return (np.transpose(g, np.argsort(axes)),)
-
-    return _make("transpose", out, (x,), backward)
-
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
     out = np.concatenate([t.data for t in tensors], axis=axis)

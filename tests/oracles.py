@@ -82,14 +82,11 @@ def _sl_linear(x, w, prefix):
     return x @ w[f"{prefix}.weight"] + w[f"{prefix}.bias"]
 
 
-def _sl_attention(x_q, x_kv, w, prefix, n_heads, mask):
-    """Per-head attention with explicit head loops; [T_q, d] inputs."""
-    t_q, d = x_q.shape
-    t_k = x_kv.shape[0]
-    dk = d // n_heads
-    q = _sl_linear(x_q, w, f"{prefix}.q_proj")
-    k = _sl_linear(x_kv, w, f"{prefix}.k_proj")
-    v = _sl_linear(x_kv, w, f"{prefix}.v_proj")
+def heads_attention(q, k, v, n_heads, mask=None):
+    """Per-head scaled dot-product attention with explicit head loops:
+    [T_q, d] queries over [T_k, d] keys and values, ``mask`` broadcasting to
+    [T_q, T_k]. Returns the merged context [T_q, d] and the maps [h, T_q, T_k]."""
+    dk = q.shape[-1] // n_heads
     heads = []
     attns = []
     for h in range(n_heads):
@@ -100,8 +97,15 @@ def _sl_attention(x_q, x_kv, w, prefix, n_heads, mask):
         a = stable_softmax(logits, mask)
         heads.append(a @ vh)
         attns.append(a)
-    merged = np.concatenate(heads, axis=-1)
-    return _sl_linear(merged, w, f"{prefix}.out_proj"), np.stack(attns)
+    return np.concatenate(heads, axis=-1), np.stack(attns)
+
+
+def _sl_attention(x_q, x_kv, w, prefix, n_heads, mask):
+    """Per-head attention with explicit head loops; [T_q, d] inputs."""
+    merged, attns = heads_attention(_sl_linear(x_q, w, f"{prefix}.q_proj"),
+                                    _sl_linear(x_kv, w, f"{prefix}.k_proj"),
+                                    _sl_linear(x_kv, w, f"{prefix}.v_proj"), n_heads, mask)
+    return _sl_linear(merged, w, f"{prefix}.out_proj"), attns
 
 
 def _sl_conv_block(m, w, prefix, pad_mask):

@@ -1,7 +1,7 @@
 """Model architecture: attention, conv sub-block, stacks, and extraction."""
 
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -11,9 +11,8 @@ from charnmt.data import BOS_ID, PAD_ID, Batch, ParallelCorpus, build_vocab
 from charnmt.model import (DecoderState, ModelConfig, build_params, conv_sub_block,
                            decoder_forward, encoder_forward,
                            extract_cross_attention, model_forward,
-                           multi_head_attention, param_shapes,
-                           scaled_dot_attention, sinusoidal_positions)
-from charnmt.tensor import ParameterSet, ShapeError, Tensor, grad_check, no_grad, tsum
+                           multi_head_attention, param_shapes, sinusoidal_positions)
+from charnmt.tensor import ParameterSet, ShapeError, Tensor, attention, grad_check, no_grad, tsum
 from oracles import (closed_form_param_count, positions_closed_form,
                      stable_softmax, straight_line_decoder,
                      straight_line_encoder)
@@ -89,35 +88,34 @@ def test_positions_reject_odd_dim():
 
 def test_attention_single_key_returns_its_value():
     rng = rand_rng(20)
-    q = Tensor(rng.normal(size=(3, 4)))
-    k = Tensor(rng.normal(size=(1, 4)))
-    v = Tensor(rng.normal(size=(1, 5)))
-    out, attn = scaled_dot_attention(q, k, v)
-    assert np.allclose(out.data, np.repeat(v.data, 3, axis=0))
-    assert np.allclose(attn.data, 1.0)
+    q = Tensor(rng.normal(size=(1, 3, 4)))
+    k = Tensor(rng.normal(size=(1, 1, 4)))
+    v = Tensor(rng.normal(size=(1, 1, 4)))
+    out, attn = attention(q, k, v, 2)
+    assert np.allclose(out.data, np.repeat(v.data, 3, axis=1))
+    assert attn.shape == (1, 2, 3, 1) and np.allclose(attn.data, 1.0)
 
 
 def test_attention_uniform_when_logits_equal():
-    v = Tensor(rand_rng(21).normal(size=(4, 3)))
-    out, _ = scaled_dot_attention(Tensor(np.zeros((2, 4))),
-                                  Tensor(np.zeros((4, 4))), v)
-    assert np.allclose(out.data, np.repeat(v.data.mean(axis=0, keepdims=True), 2, axis=0))
+    v = Tensor(rand_rng(21).normal(size=(1, 4, 3)))
+    out, _ = attention(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 4, 3))), v, 1)
+    assert np.allclose(out.data, np.repeat(v.data.mean(axis=1, keepdims=True), 2, axis=1))
 
 
 def test_attention_large_margin_selects_row():
     d = 4
-    k = np.zeros((3, d))
-    k[1] = 1.0
-    q = np.full((1, d), 20.0 * math.sqrt(d) / d)  # logit margin 20 for row 1
-    v = rand_rng(22).normal(size=(3, 2))
-    out, _ = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v))
-    assert np.allclose(out.data[0], v[1], atol=1e-6)
+    k = np.zeros((1, 3, d))
+    k[0, 1] = 1.0
+    q = np.full((1, 1, d), 20.0 * math.sqrt(d) / d)  # logit margin 20 for row 1
+    v = rand_rng(22).normal(size=(1, 3, d))
+    out, _ = attention(Tensor(q), Tensor(k), Tensor(v), 1)
+    assert np.allclose(out.data[0, 0], v[0, 1], atol=1e-6)
 
 
 def test_attention_rejects_depth_mismatch():
     with pytest.raises(ShapeError):
-        scaled_dot_attention(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))),
-                             Tensor(np.ones((2, 4))))
+        attention(Tensor(np.ones((1, 2, 3))), Tensor(np.ones((1, 2, 4))),
+                  Tensor(np.ones((1, 2, 4))), 1)
 
 
 def _mha_params(d, seed):
@@ -248,16 +246,24 @@ def test_conv_encoder_matches_straight_line_oracle(tiny_vocab):
     assert np.allclose(enc.data[0], ref, atol=1e-12)
 
 
+def _both_kinds(tiny_setup):
+    """``tiny_setup``'s model, then the conv model of the same shape and seed."""
+    params, config, vocab = tiny_setup
+    conv = replace(config, encoder_kind="conv")
+    return [(params, config, vocab), (build_params(conv, seed=3), conv, vocab)]
+
+
 @pytest.mark.invariant
 def test_decoder_matches_straight_line_oracle(tiny_setup):
-    params, config, vocab = tiny_setup
-    batch = make_batch([("abcd", "dcba")], vocab)
-    logits, _ = model_forward(batch, params, config)
-    w = weights_of(params)
-    enc_ref = straight_line_encoder(batch.src_ids[0], batch.src_mask[0], w, config)
-    ref, _ = straight_line_decoder(batch.tgt_in_ids[0], enc_ref,
-                                   batch.src_mask[0], w, config)
-    assert np.allclose(logits.data[0], ref, atol=1e-12)
+    """Both encoder kinds feed the decoder; each pass matches the oracle."""
+    for params, config, vocab in _both_kinds(tiny_setup):
+        batch = make_batch([("abcd", "dcba")], vocab)
+        logits, _ = model_forward(batch, params, config)
+        w = weights_of(params)
+        enc_ref = straight_line_encoder(batch.src_ids[0], batch.src_mask[0], w, config)
+        ref, _ = straight_line_decoder(batch.tgt_in_ids[0], enc_ref,
+                                       batch.src_mask[0], w, config)
+        assert np.allclose(logits.data[0], ref, atol=1e-12), config.encoder_kind
 
 
 def _cache_model(tiny_vocab, kind, seed):
@@ -503,15 +509,16 @@ def test_cross_attention_masks_pad_keys(tiny_setup):
 
 @pytest.mark.invariant
 def test_end_to_end_gradients(tiny_setup):
-    params, config, vocab = tiny_setup
-    batch = make_batch([("abcd", "dcba")], vocab)
+    """Every parameter of both encoder kinds, attention's included."""
+    for params, config, vocab in _both_kinds(tiny_setup):
+        batch = make_batch([("abcd", "dcba")], vocab)
 
-    def f(p):
-        logits, _ = model_forward(batch, p, config)
-        return tsum(logits * logits) * (1.0 / logits.size)
+        def f(p):
+            logits, _ = model_forward(batch, p, config)
+            return tsum(logits * logits) * (1.0 / logits.size)
 
-    report = grad_check(f, params, tol=1e-4, sample=2)
-    assert report.passed, report.max_rel_error
+        report = grad_check(f, params, tol=1e-4, sample=2)
+        assert report.passed, (config.encoder_kind, report.max_rel_error)
 
 
 # ---------------------------------------------------------------------------

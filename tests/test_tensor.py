@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 import charnmt
 from charnmt.model import ModelConfig, build_params
 from charnmt.tensor import (MaskError, NonFiniteError, ParameterSet, ShapeError,
-                            Tensor, add, concat, conv1d_same, dropout, embedding,
+                            Tensor, add, attention, concat, conv1d_same, dropout, embedding,
                             grad_check, init_param, layer_norm, linear, log_softmax_lastdim,
                             matmul, mul, no_grad, relu, require_finite, rerun_checked,
-                            reshape, seed_for_name, softmax_lastdim, transpose, tsum)
+                            seed_for_name, softmax_lastdim, tsum)
 from charnmt.training import AdamState, adam_step
-from oracles import brute_conv1d, naive_matmul, stable_softmax
+from oracles import brute_conv1d, heads_attention, naive_matmul, stable_softmax
 
 from conftest import rand_rng
 
@@ -428,10 +428,6 @@ def _op_cases():
          {"x": (6,), "g": (6,), "b": (6,), "y": (6,)}),
         ("conv1d_same_w1", lambda p: tsum(mul(conv1d_same(p["x"], p["k"], p["b"]), p["y"])),
          {"x": (2, 5, 3), "k": (1, 3, 4), "b": (4,), "y": (2, 5, 4)}),
-        ("reshape", lambda p: tsum(mul(reshape(p["x"], (2, 6)), reshape(p["x"], (2, 6)))),
-         {"x": (3, 4)}),
-        ("transpose", lambda p: tsum(matmul(transpose(p["x"], (1, 0)), p["x"])),
-         {"x": (3, 4)}),
         ("concat", lambda p: tsum(mul(concat([p["x"], p["y"]], axis=-1),
                                       concat([p["y"], p["x"]], axis=-1))),
          {"x": (2, 3), "y": (2, 3)}),
@@ -481,6 +477,25 @@ def _linear_shapes(draw):
 
 
 @st.composite
+def _attention_case(draw):
+    """B, T_q, heads and d_k, and one of the model's three mask cases: none,
+    causal [T_q, T_k] or key padding [B, 1, 1, T_k] that keeps a key in
+    every row."""
+    b, tq, heads, dk = draw(_SIZE), draw(_SIZE), draw(_SIZE), draw(_SIZE)
+    kind = draw(st.sampled_from(["none", "causal", "keys"]))
+    if kind == "none":
+        return b, tq, heads, dk, None
+    if kind == "causal":  # the decoder's mask over a past of ``start`` positions
+        start = draw(st.integers(0, 2))
+        return b, tq, heads, dk, np.tri(tq, start + tq, start, dtype=bool)
+    tk = draw(st.integers(1, 4))
+    keep = np.asarray(draw(st.lists(st.booleans(), min_size=b * tk, max_size=b * tk)))
+    keep = keep.reshape(b, 1, 1, tk)
+    keep[..., draw(st.integers(0, tk - 1))] = True
+    return b, tq, heads, dk, keep
+
+
+@st.composite
 def _tape_case(draw, op):
     """A function of a parameter set that applies ``op`` once, and the
     parameter shapes it takes, drawn for ``op``."""
@@ -519,21 +534,17 @@ def _tape_case(draw, op):
         shapes = {f"x{i}": base[:axis % len(base)] + (n,) + base[axis % len(base) + 1:]
                   for i, n in enumerate(sizes)}
         return (lambda p: concat([p[name] for name in shapes], axis=axis)), shapes
-    if op == "transpose":
-        x = draw(_DIMS)
-        axes = tuple(draw(st.permutations(range(len(x)))))
-        return (lambda p: transpose(p["x"], axes)), {"x": x}
-    if op == "reshape":
-        x = draw(_DIMS)
-        shape = draw(st.sampled_from([tuple(draw(st.permutations(x))), (-1,), (1, -1)]))
-        return (lambda p: reshape(p["x"], shape)), {"x": x}
+    if op == "attention":
+        b, tq, heads, dk, mask = draw(_attention_case())
+        tk = mask.shape[-1] if mask is not None else draw(_SIZE)
+        return ((lambda p: attention(p["q"], p["k"], p["v"], heads, mask)[0]),
+                {"q": (b, tq, heads * dk), "k": (b, tk, heads * dk), "v": (b, tk, heads * dk)})
     assert op == "tsum"
     return (lambda p: mul(tsum(p["x"]), tsum(mul(p["x"], p["x"])))), {"x": draw(_DIMS)}
 
 
 @pytest.mark.parametrize("op", ["add", "mul", "matmul", "linear", "softmax_lastdim",
-                                "layer_norm", "conv1d_same", "concat", "transpose", "reshape",
-                                "tsum"])
+                                "attention", "layer_norm", "conv1d_same", "concat", "tsum"])
 @settings(max_examples=25)
 @given(data=st.data())
 def test_tape_op_gradients_over_drawn_shapes(op, data):
@@ -571,6 +582,50 @@ def test_linear_is_bit_equal_to_matmul_then_add(data):
         assert fused.tobytes() == chained.tobytes()
 
 
+@settings(max_examples=40)
+@given(data=st.data())
+def test_attention_matches_per_head_oracle(data):
+    """The op's merged context and its untaped maps equal explicit per-head
+    loops, row by row, for each mask case the models pass."""
+    b, tq, heads, dk, mask = data.draw(_attention_case())
+    tk = mask.shape[-1] if mask is not None else data.draw(_SIZE)
+    rng = rand_rng(data.draw(st.integers(0, 2**16)))
+    q, k, v = (rng.normal(size=(b, t, heads * dk)) for t in (tq, tk, tk))
+    ctx, attn = attention(Tensor(q, requires_grad=True), Tensor(k), Tensor(v), heads, mask)
+    assert ctx.node is not None and attn.node is None and not attn.requires_grad
+    assert ctx.shape == (b, tq, heads * dk) and attn.shape == (b, heads, tq, tk)
+    for row in range(b):
+        row_mask = mask if mask is None or mask.ndim == 2 else mask[row, 0]
+        want_ctx, want_attn = heads_attention(q[row], k[row], v[row], heads, row_mask)
+        assert np.allclose(ctx.data[row], want_ctx, rtol=0.0, atol=1e-12)
+        assert np.allclose(attn.data[row], want_attn, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.invariant
+def test_attention_rejects_bad_shapes_and_masks():
+    """Mismatched q/k/v ranks or extents and a width the heads do not divide
+    are shape errors naming every shape; a mask that does not broadcast to
+    the logits names both shapes, and an all-masked row is a mask error."""
+    q, kv = Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 5, 4)))
+    for args in ((Tensor(np.ones((3, 4))), kv, kv, 2),
+                 (q, Tensor(np.ones((2, 1, 5, 4))), kv, 2),
+                 (q, Tensor(np.ones((1, 5, 4))), Tensor(np.ones((1, 5, 4))), 2),
+                 (q, Tensor(np.ones((2, 5, 6))), Tensor(np.ones((2, 5, 6))), 2),
+                 (q, kv, Tensor(np.ones((2, 4, 4))), 2),
+                 (q, kv, kv, 3),
+                 (q, kv, kv, 0)):
+        with pytest.raises(ShapeError) as err:
+            attention(*args)
+        assert all(str(t.shape) in str(err.value) for t in args[:3]), err.value
+    for mask_shape in ((2, 4), (5, 3), (2, 2, 2, 3, 5), (3, 1, 1, 5)):
+        with pytest.raises(ShapeError) as err:
+            attention(q, kv, kv, 2, np.ones(mask_shape, dtype=bool))
+        assert str(mask_shape) in str(err.value) and "(2, 2, 3, 5)" in str(err.value)
+    for mask in (np.tri(3, 5, -1, dtype=bool), np.arange(2)[:, None, None, None] * np.ones(5) > 0):
+        with pytest.raises(MaskError):
+            attention(q, kv, kv, 2, mask)
+
+
 def test_linear_rejects_bad_shapes():
     x, w = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
     for args in ((Tensor(np.ones(3)), w, Tensor(np.ones(4))),
@@ -588,7 +643,7 @@ def test_first_gradients_are_private_copies_laid_out_like_data():
     laid out like its own data, not like the array it was handed."""
     rng = rand_rng(18)
     a = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-    b = transpose(Tensor(rng.normal(size=(6, 4)), requires_grad=True), (1, 0))
+    b = Tensor(rng.normal(size=(6, 4)).T, requires_grad=True)
     assert not b.data.flags.c_contiguous
     tsum(mul(add(a, b), Tensor(rng.normal(size=(4, 6))))).backward()
     assert not np.shares_memory(a.grad, b.grad)
