@@ -31,6 +31,7 @@ from .data import (
     build_vocab,
     load_parallel,
     mix_corpora,
+    overlong_pair,
     read_lines,
     transliterate,
     write_lines,
@@ -123,14 +124,24 @@ def _load_entry(entry: dict, table: TransliterationTable | None) -> ParallelCorp
 
 def _check_fits(pairs: list[tuple[str, str]], src_path, tgt_path, limit: int,
                 what: str) -> None:
-    """Reject the first pair that needs more than ``limit`` tokens, naming
-    the file of its longer side and its 1-based line. A pair needs its
-    longer side plus one token: EOS ends the source, BOS starts the target."""
-    for i, (src, tgt) in enumerate(pairs, start=1):
-        need = max(len(src), len(tgt)) + 1
-        if need > limit:
-            path = src_path if len(src) >= len(tgt) else tgt_path
-            raise ValueError(f"{path}: line {i} needs {need} tokens, over {what}")
+    """Reject the first pair that needs more than ``limit`` tokens (see
+    ``data.overlong_pair``), naming the file of its longer side and its
+    1-based line."""
+    overlong = overlong_pair(pairs, limit)
+    if overlong is not None:
+        i, need = overlong
+        src, tgt = pairs[i - 1]
+        path = src_path if len(src) >= len(tgt) else tgt_path
+        raise ValueError(f"{path}: line {i} needs {need} tokens, over {what}")
+
+
+def _note_unknown(texts: list[str], vocab: Vocabulary, ckpt_path) -> None:
+    """One stderr note counting the characters of ``texts`` outside the
+    vocabulary of the checkpoint at ``ckpt_path``, which encode as UNK."""
+    unknown = sum(1 for text in texts for ch in text if vocab.id_for(ch) == UNK_ID)
+    if unknown:
+        print(f"note: {unknown} characters outside the vocabulary of {ckpt_path} "
+              f"were encoded as UNK", file=sys.stderr)
 
 
 def cmd_build_vocab(args) -> None:
@@ -185,11 +196,7 @@ def cmd_translate(args) -> None:
     dcfg = DecodeConfig(beam_size=args.beam)
     bundle = checkpoint_load(args.ckpt)
     lines = _transliterated(read_lines(args.infile), args.translit)
-    unknown = sum(1 for line in lines for ch in line
-                  if bundle.vocab.id_for(ch) == UNK_ID)
-    if unknown:
-        print(f"note: {unknown} characters outside the checkpoint vocabulary "
-              f"were encoded as UNK", file=sys.stderr)
+    _note_unknown(lines, bundle.vocab, args.ckpt)
     _check_fits([(line, "") for line in lines], args.infile, None, bundle.config.max_len,
                 f"the model's max_len {bundle.config.max_len}")
     if dcfg.beam_size >= 2:
@@ -231,6 +238,7 @@ def cmd_analyze(args) -> None:
     pairs = list(zip(_transliterated(srcs, args.translit), refs))
     bundles = [(path, checkpoint_load(path)) for path in (args.ckpt_a, args.ckpt_b)]
     for path, bundle in bundles:
+        _note_unknown([text for pair in pairs for text in pair], bundle.vocab, path)
         _check_fits(pairs, args.src, args.ref, bundle.config.max_len,
                     f"the max_len {bundle.config.max_len} of {path}")
     ids, maps = collect_alignments([(b.params, b.config, b.vocab) for _, b in bundles],

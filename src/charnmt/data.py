@@ -240,12 +240,19 @@ class Batch:
         return self.tgt_out_ids != PAD_ID
 
     @property
-    def size(self) -> int:
-        return self.src_ids.shape[0]
-
-    @property
     def n_target_tokens(self) -> int:
         return int(self.tgt_mask.sum())
+
+
+def overlong_pair(pairs: list[tuple[str, str]], limit: int) -> tuple[int, int] | None:
+    """The 1-based position and token count of the first pair that needs
+    more than ``limit`` tokens, or None. A pair needs its longer side plus
+    one token: EOS ends the source and BOS starts the target."""
+    for i, (src, tgt) in enumerate(pairs, start=1):
+        need = max(len(src), len(tgt)) + 1
+        if need > limit:
+            return i, need
+    return None
 
 
 def encode_pair(src: str, tgt: str, vocab: Vocabulary) -> tuple[list[int], list[int], list[int]]:
@@ -281,11 +288,11 @@ def make_batches(corpus: ParallelCorpus, vocab: Vocabulary, max_tokens: int,
     """
     if len(corpus.pairs) == 0:
         return []
+    overlong = overlong_pair(corpus.pairs, max_tokens)
+    if overlong is not None:
+        raise ValueError(f"line {overlong[0]}: pair needs {overlong[1]} tokens, "
+                         f"over the {max_tokens} budget")
     encoded = [encode_pair(src, tgt, vocab) for src, tgt in corpus.pairs]
-    for i, (s, ti, _) in enumerate(encoded, start=1):
-        if max(len(s), len(ti)) > max_tokens:
-            raise ValueError(f"line {i}: pair needs {max(len(s), len(ti))} tokens, "
-                             f"over the {max_tokens} budget")
     rng = np.random.Generator(np.random.PCG64(seed))
     order = list(rng.permutation(len(encoded)))
     order.sort(key=lambda i: len(encoded[i][0]))  # stable: shuffle breaks ties

@@ -1,13 +1,13 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Implements exactly the operations the encoder/decoder models need:
-broadcasting elementwise arithmetic, the affine map ``linear`` (x @ W + b
-as one op), multi-head scaled dot-product ``attention`` (head split, both
-products, masked softmax and head merge as one op), log-softmax over the
-last axis, layer normalization, same-padded 1D convolution, embedding
-lookup, dropout, concatenation, and reductions. (Batched) ``matmul`` and
-the masked ``softmax_lastdim`` stay as standalone ops with the arithmetic
-that ``linear`` and ``attention`` fuse.
+Implements the operations the encoder/decoder models need: broadcasting
+elementwise arithmetic, the affine map ``linear`` (x @ W + b as one op),
+multi-head scaled dot-product ``attention`` (head split, both products,
+masked softmax and head merge as one op, and the only softmax the models
+run), log-softmax over the last axis, layer normalization, same-padded 1D
+convolution, embedding lookup, dropout, concatenation, and reductions.
+(Batched) ``matmul`` is no model's op: it stays as the reference that
+``linear`` must equal bit for bit, and for the benchmark's tracer.
 
 Gradients: the first gradient that reaches an intermediate tensor is
 copied into a fresh array laid out like its data, and later ones are added
@@ -43,7 +43,7 @@ class ShapeError(ValueError):
 
 
 class MaskError(ValueError):
-    """A softmax slice has every position masked."""
+    """An attention slice (or a loss) has every position masked."""
 
 
 class NonFiniteError(FloatingPointError):
@@ -317,59 +317,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # softmax family
 # ---------------------------------------------------------------------------
 
-def _masked_logits(z: np.ndarray, mask: np.ndarray, what: str) -> np.ndarray:
-    """``z`` plus -1e9 where ``mask`` is False. The mask must broadcast to
-    ``z`` without enlarging it, and keep some position of every slice; it
-    is checked and turned into its -1e9 term at its own shape, which the
-    addition broadcasts."""
-    mask = np.atleast_1d(np.asarray(mask, dtype=bool))
-    if mask.ndim > z.ndim or any(m not in (1, n) for m, n in
-                                 zip(mask.shape[::-1], z.shape[::-1])):
-        raise ShapeError(f"{what} mask of shape {mask.shape} does not broadcast to "
-                         f"the input's {z.shape}")
-    if not mask.any(axis=-1).all():
-        raise MaskError(f"{what} slice with all positions masked")
-    return z + np.where(mask, 0.0, MASK_NEG)
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return y * (g - (g * y).sum(axis=-1, keepdims=True))
-
-
-def softmax_lastdim(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Softmax over the last axis, numerically stabilized by max-subtraction.
-
-    ``mask`` is a boolean array broadcastable to ``x`` with True marking
-    positions to keep; masked positions receive an additive -1e9 and come
-    out exactly 0. A slice with every position masked is an error. The
-    mask is checked and turned into its -1e9 term at its own shape, which
-    the addition broadcasts. An all-True mask gives the output of no mask
-    bit for bit: adding 0.0 changes only the sign of a zero logit, which
-    ``exp(z - max)`` erases.
-    """
-    y = _softmax(x.data if mask is None else _masked_logits(x.data, mask, "softmax"))
-    return _make("softmax_lastdim", y, (x,), lambda g: (_softmax_grad(y, g),))
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
               mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """Multi-head scaled dot-product attention, softmax(Q K^T / sqrt(d_k)) V
     per head, as one op.
 
     ``q`` is [B, T_q, d], ``k`` and ``v`` are [B, T_k, d]; each is split into
-    ``n_heads`` heads of depth d_k = d / n_heads. ``mask`` is as for
-    ``softmax_lastdim``, against the logits [B, n_heads, T_q, T_k]. Returns
-    the context with its heads merged back, [B, T_q, d], and the attention
-    map [B, n_heads, T_q, T_k] as an untaped tensor: nothing differentiates
-    through the map. Rounds exactly as the chain of head split, matmul,
-    scale, ``softmax_lastdim``, matmul and head merge ops: the products run
-    on the same head views, and the context gradient is copied contiguous
-    first, as the tape copied it.
+    ``n_heads`` heads of depth d_k = d / n_heads, as views. ``mask`` is a
+    boolean array, True at the keys to keep, that broadcasts to the logits
+    [B, n_heads, T_q, T_k]; masked logits receive an additive -1e9, so their
+    weights come out exactly 0. Returns the context with its heads merged
+    back, [B, T_q, d], and the attention map [B, n_heads, T_q, T_k] as an
+    untaped tensor: nothing differentiates through the map. The backward
+    copies the context gradient contiguous before its products.
     """
     if q.ndim != 3 or k.ndim != 3 or v.shape != k.shape or n_heads < 1 or \
             (q.shape[0], q.shape[2]) != (k.shape[0], k.shape[2]) or q.shape[2] % n_heads:
@@ -384,12 +344,28 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     kt = k.data.reshape(b, tk, n_heads, dk).transpose(0, 2, 3, 1)
     vh = v.data.reshape(b, tk, n_heads, dk).transpose(0, 2, 1, 3)
     z = np.matmul(qh, kt) * scale
-    y = _softmax(z if mask is None else _masked_logits(z, mask, "attention"))
+    if mask is not None:
+        # The mask must broadcast to the logits without enlarging them, and
+        # keep some key of every slice. It is checked, and turned into its
+        # -1e9 term, at its own shape; the addition broadcasts. An all-True
+        # mask gives the output of no mask bit for bit: adding 0.0 changes
+        # only the sign of a zero logit, which exp(z - max) erases.
+        mask = np.atleast_1d(np.asarray(mask, dtype=bool))
+        if mask.ndim > z.ndim or any(m not in (1, n) for m, n in
+                                     zip(mask.shape[::-1], z.shape[::-1])):
+            raise ShapeError(f"attention mask of shape {mask.shape} does not broadcast to "
+                             f"the logits' {z.shape}")
+        if not mask.any(axis=-1).all():
+            raise MaskError("attention slice with all keys masked")
+        z = z + np.where(mask, 0.0, MASK_NEG)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
     ctx = np.matmul(y, vh).transpose(0, 2, 1, 3).reshape(b, tq, d)
 
     def backward(g):
         gctx = np.ascontiguousarray(g.reshape(b, tq, n_heads, dk).transpose(0, 2, 1, 3))
-        gz = _softmax_grad(y, np.matmul(gctx, np.swapaxes(vh, -1, -2))) * scale
+        gy = np.matmul(gctx, np.swapaxes(vh, -1, -2))
+        gz = y * (gy - (gy * y).sum(axis=-1, keepdims=True)) * scale
         gq = np.matmul(gz, np.swapaxes(kt, -1, -2))
         gkt = np.matmul(np.swapaxes(qh, -1, -2), gz)
         gv = np.matmul(np.swapaxes(y, -1, -2), gctx)
@@ -631,12 +607,6 @@ class ParameterSet:
 
     def copy(self) -> "ParameterSet":
         return ParameterSet(self._params)
-
-    def load_data(self, other: "ParameterSet") -> None:
-        """Copy parameter values from ``other`` in place (names and shapes must match)."""
-        if self._shapes != other._shapes:
-            raise ValueError("parameter sets have different names or shapes")
-        np.copyto(self.data, other.data)
 
 
 # ---------------------------------------------------------------------------

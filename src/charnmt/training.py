@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bleu import DEFAULT_TOKENIZER, TOKENIZERS, corpus_bleu
-from .data import Batch, ParallelCorpus, Vocabulary, make_batches, write_lines
+from .data import Batch, ParallelCorpus, Vocabulary, make_batches, overlong_pair, write_lines
 from .decoding import greedy_decode_batch
 from .model import (
     CONV_WINDOWS,
@@ -243,6 +243,19 @@ def evaluate(params: ParameterSet, config: ModelConfig, val_sets: dict[str, Para
     return val_loss, bleus
 
 
+def _check_fits(corpus: ParallelCorpus, val_sets: dict[str, ParallelCorpus],
+                limit: int) -> None:
+    named = [("training corpus", corpus)] + [(f"validation set '{name}'", val)
+                                             for name, val in val_sets.items()]
+    for what, subset in named:
+        if not subset.pairs:
+            raise ValueError(f"{what} is empty")
+        overlong = overlong_pair(subset.pairs, limit)
+        if overlong is not None:
+            raise ValueError(f"{what}: pair {overlong[0]} needs {overlong[1]} tokens, "
+                             f"over min(max_len, max_tokens) = {limit}")
+
+
 def train(params: ParameterSet, config: ModelConfig, train_config: TrainConfig,
           corpus: ParallelCorpus, vocab: Vocabulary,
           val_sets: dict[str, ParallelCorpus] | None = None,
@@ -250,6 +263,11 @@ def train(params: ParameterSet, config: ModelConfig, train_config: TrainConfig,
           start_epoch: int = 0, log: TrainLog | None = None) -> TrainLog:
     """Run the epoch loop: shuffle, batch, forward, loss, backward, clip,
     Adam step; validate once per epoch.
+
+    Before the first step, an empty training corpus or validation set and
+    any pair of either that needs more than min(max_len, max_tokens) tokens
+    (see ``data.overlong_pair``) are rejected, naming the set and the
+    pair's 1-based position.
 
     Batch order and dropout are drawn from child seeds of
     (train_config.seed, epoch), so a run resumed from an epoch-boundary
@@ -260,6 +278,7 @@ def train(params: ParameterSet, config: ModelConfig, train_config: TrainConfig,
     epoch, the pair ``latest.ckpt`` holds; checkpoints already on disk are
     left in place.
     """
+    _check_fits(corpus, val_sets or {}, min(config.max_len, train_config.max_tokens))
     adam = adam if adam is not None else AdamState.for_params(params)
     log = log if log is not None else TrainLog()
     out_dir = Path(out_dir) if out_dir is not None else None
@@ -275,8 +294,7 @@ def train(params: ParameterSet, config: ModelConfig, train_config: TrainConfig,
     try:
         for epoch in range(start_epoch, train_config.epochs):
             # what an abort restores: the state after the last completed epoch
-            saved_params = params.copy()
-            saved_adam = AdamState(adam.m.copy(), adam.v.copy(), adam.t)
+            saved = params.data.copy(), adam.m.copy(), adam.v.copy(), adam.t
             batches = make_batches(corpus, vocab, train_config.max_tokens,
                                    seed=seed_for_name(train_config.seed, f"batches.{epoch}"))
             drop_rng = np.random.Generator(np.random.PCG64(
@@ -312,10 +330,9 @@ def train(params: ParameterSet, config: ModelConfig, train_config: TrainConfig,
                     and all(b >= train_config.early_stop_bleu for b in val_bleu.values())):
                 break
     except NonFiniteError as e:
-        params.load_data(saved_params)
-        np.copyto(adam.m, saved_adam.m)
-        np.copyto(adam.v, saved_adam.v)
-        adam.t = saved_adam.t
+        for live, snapshot in zip((params.data, adam.m, adam.v), saved):
+            np.copyto(live, snapshot)
+        adam.t = saved[3]
         raise RuntimeError(f"training aborted: {e}; parameters and Adam state restored to "
                            f"the last completed epoch") from e
     if out_dir is not None and not (out_dir / "latest.ckpt").exists():

@@ -553,6 +553,21 @@ def test_translate_notes_unknown_characters(tmp_path, capsys):
     assert "UNK" in capsys.readouterr().err
 
 
+def test_analyze_notes_unknown_characters(tmp_path, capsys):
+    """One note per checkpoint, counting unknown source and reference characters."""
+    ckpt_a, *_ = _tiny_checkpoint(tmp_path, name="a.ckpt", seed=0)
+    ckpt_b, *_ = _tiny_checkpoint(tmp_path, name="b.ckpt", seed=1)
+    src, ref = tmp_path / "s.txt", tmp_path / "r.txt"
+    src.write_text("\n".join(SRC_LINES + ["abx"]) + "\n")
+    ref.write_text("\n".join(TGT_LINES + ["ayz"]) + "\n")
+    assert main(["analyze", "--ckpt-a", str(ckpt_a), "--ckpt-b", str(ckpt_b),
+                 "--src", str(src), "--ref", str(ref), "--n", "9", "--grid", "4",
+                 "--k", "2", "--out", str(tmp_path / "o.csv")]) == 0
+    notes = capsys.readouterr().err.splitlines()
+    assert notes == [f"note: 3 characters outside the vocabulary of {path} were encoded as UNK"
+                     for path in (ckpt_a, ckpt_b)]
+
+
 def test_translate_dumps_attention(tmp_path):
     ckpt, *_ = _tiny_checkpoint(tmp_path)
     infile = tmp_path / "in.txt"

@@ -262,7 +262,7 @@ def test_single_batch_when_budget_is_large():
     corpus = ParallelCorpus(pairs=[("ab", "cd"), ("ef", "gh")])
     batches = make_batches(corpus, vocab, max_tokens=10_000, seed=0)
     assert len(batches) == 1
-    assert batches[0].size == 2
+    assert len(batches[0].src_ids) == 2
 
 
 def test_oversize_pair_error_names_line():
@@ -286,7 +286,7 @@ def test_batches_cover_corpus_exactly_once():
     batches = make_batches(corpus, vocab, max_tokens=40, seed=3)
     seen = []
     for batch in batches:
-        for row in range(batch.size):
+        for row in range(len(batch.src_ids)):
             src = decode(batch.src_ids[row][batch.src_mask[row]][:-1].tolist(), vocab)
             tgt = decode(batch.tgt_out_ids[row][batch.tgt_mask[row]][:-1].tolist(), vocab)
             seen.append((src, tgt))
@@ -305,7 +305,7 @@ def test_batches_respect_token_budget():
     budget = 30
     for batch in make_batches(corpus, vocab, max_tokens=budget, seed=4):
         width = max(batch.src_ids.shape[1], batch.tgt_in_ids.shape[1])
-        assert batch.size * width <= budget
+        assert len(batch.src_ids) * width <= budget
 
 
 _TEXT = st.text("abcdefgh", max_size=12)

@@ -15,7 +15,7 @@ from charnmt.tensor import (MaskError, NonFiniteError, ParameterSet, ShapeError,
                             Tensor, add, attention, concat, conv1d_same, dropout, embedding,
                             grad_check, init_param, layer_norm, linear, log_softmax_lastdim,
                             matmul, mul, no_grad, relu, require_finite, rerun_checked,
-                            seed_for_name, softmax_lastdim, tsum)
+                            seed_for_name, tsum)
 from charnmt.training import AdamState, adam_step
 from oracles import brute_conv1d, heads_attention, naive_matmul, stable_softmax
 
@@ -96,76 +96,89 @@ def test_matmul_backward_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# softmax
+# attention's masked softmax
 # ---------------------------------------------------------------------------
 
+def _softmax_of(logits, mask=None) -> np.ndarray:
+    """attention's map for one head of depth 1 and one query of 1.0 against
+    keys that hold ``logits``: the scale is 1, so the map is their softmax."""
+    logits = np.asarray(logits, dtype=float)
+    keys = Tensor(logits.reshape(1, -1, 1))
+    return attention(Tensor(np.ones((1, 1, 1))), keys, keys, 1, mask)[1].data.reshape(-1)
+
+
 def test_softmax_symmetry():
-    out = softmax_lastdim(Tensor(np.array([0.0, 0.0])))
-    assert np.allclose(out.data, [0.5, 0.5])
+    assert np.allclose(_softmax_of([0.0, 0.0]), [0.5, 0.5])
 
 
 def test_softmax_analytic():
-    out = softmax_lastdim(Tensor(np.array([0.0, math.log(3.0)])))
-    assert np.allclose(out.data, [0.25, 0.75])
+    assert np.allclose(_softmax_of([0.0, math.log(3.0)]), [0.25, 0.75])
 
 
+@pytest.mark.invariant
 def test_softmax_mask_zeroes_positions():
-    out = softmax_lastdim(Tensor(np.array([5.0, 5.0, 5.0])),
-                          mask=np.array([True, True, False]))
-    assert np.array_equal(out.data, [0.5, 0.5, 0.0])
+    assert np.array_equal(_softmax_of([5.0, 5.0, 5.0], np.array([True, True, False])),
+                          [0.5, 0.5, 0.0])
 
 
 @pytest.mark.invariant
 def test_softmax_fully_masked_slice_is_error():
     """The all-masked check reads the mask at its own shape: a False key row
-    of a mask that broadcasts over queries, or a False entry of one that
-    broadcasts over keys, still masks every key of some slice."""
-    with pytest.raises(MaskError):
-        softmax_lastdim(Tensor(np.ones((2, 3))),
-                        mask=np.array([[True, True, True], [False, False, False]]))
-    for mask_shape in ((2, 1, 4), (2, 3, 1), (1, 1, 1)):
+    of a mask that broadcasts over queries (or heads), or a False entry of
+    one that broadcasts over keys, still masks every key of some slice."""
+    q, kv = Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 5, 4)))  # logits [2, 2, 3, 5]
+    for mask_shape in ((2, 1, 1, 5), (3, 5), (5,), (2, 2, 3, 1), (1, 1, 1, 1)):
         mask = np.ones(mask_shape, dtype=bool)
         mask[(-1,) * (len(mask_shape) - 1)] = False  # the last slice along the key axis
         with pytest.raises(MaskError):
-            softmax_lastdim(Tensor(np.ones((2, 3, 4))), mask=mask)
+            attention(q, kv, kv, 2, mask)
 
 
 @pytest.mark.invariant
-@pytest.mark.parametrize("mask_shape", [(2, 3, 5), (2, 1, 5), (3, 1), (5,), ()])
+@pytest.mark.parametrize("mask_shape", [(2, 2, 3, 5), (2, 1, 1, 5), (3, 5), (5,), ()])
 def test_softmax_all_true_mask_is_no_mask_bit_for_bit(mask_shape):
     """Adding the all-True mask's 0.0 turns a -0.0 logit into +0.0 and
-    changes nothing else, and exp(z - max) erases that sign: forward and
-    backward equal mask=None bit for bit, whatever the mask broadcasts over."""
-    x = rand_rng(5).normal(scale=3.0, size=(2, 3, 5))
-    x[0, 0, :3] = [-0.0, 1e3, -1e3]
-    x[1, 2] = -0.0
-    g = rand_rng(6).normal(size=x.shape)
+    changes nothing else, and exp(z - max) erases that sign: attention's
+    context, map and q/k/v gradients equal those of mask=None bit for bit,
+    whatever the mask broadcasts over. ``model._unless_all_true`` drops
+    such masks on this property."""
+    rng = rand_rng(5)
+    q, k, v = (rng.normal(scale=3.0, size=(2, t, 8)) for t in (3, 5, 5))  # 2 heads of depth 4
+    # in head 0, q.k is -2**-1074, which the scale 1/2 rounds to a -0.0 logit:
+    # for query (0, 0) against key (0, 1), and for query (1, 2) against every key
+    tiny = [2.0 ** -537, 0.0, 0.0, 0.0]
+    q[0, 0, :4] = q[1, 2, :4] = tiny
+    k[0, 1, :4] = k[1, :, :4] = np.negative(tiny)
+    logits = np.array([q[0, 0, :4] @ k[0, 1, :4]] + [q[1, 2, :4] @ key for key in k[1, :, :4]])
+    assert not (logits * 0.5).any() and np.signbit(logits * 0.5).all()
+    g = rand_rng(6).normal(size=q.shape)
     got = []
     for mask in (None, np.ones(mask_shape, dtype=bool)):
-        xt = Tensor(x.copy(), requires_grad=True)
-        y = softmax_lastdim(xt, mask)
-        tsum(y * Tensor(g)).backward()
-        got.append((y.data.tobytes(), xt.grad.tobytes()))
+        qt, kt, vt = (Tensor(a.copy(), requires_grad=True) for a in (q, k, v))
+        ctx, attn = attention(qt, kt, vt, 2, mask)
+        tsum(ctx * Tensor(g)).backward()
+        got.append([a.tobytes() for a in (ctx.data, attn.data, qt.grad, kt.grad, vt.grad)])
     assert got[0] == got[1]
 
 
 @pytest.mark.invariant
-@pytest.mark.parametrize("mask_shape", [(2, 4), (3, 2, 3), (4, 3)])
+@pytest.mark.parametrize("mask_shape", [(3, 4), (2, 3, 3, 5), (1, 2, 2, 3, 5)])
 def test_softmax_mask_that_does_not_broadcast_names_both_shapes(mask_shape):
-    """A mask must broadcast to the input without enlarging it."""
+    """A mask must broadcast to the logits [2, 2, 3, 5] without enlarging them."""
+    q, kv = Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 5, 4)))
     with pytest.raises(ShapeError) as err:
-        softmax_lastdim(Tensor(np.ones((2, 3))), mask=np.ones(mask_shape, dtype=bool))
-    assert str(mask_shape) in str(err.value) and "(2, 3)" in str(err.value)
+        attention(q, kv, kv, 2, np.ones(mask_shape, dtype=bool))
+    assert str(mask_shape) in str(err.value) and "(2, 2, 3, 5)" in str(err.value)
 
 
 @pytest.mark.invariant
 def test_softmax_rows_stochastic():
     rng = rand_rng(3)
     for _ in range(100):
-        x = Tensor(rng.normal(scale=5.0, size=(4, 7)))
-        out = softmax_lastdim(x).data
-        assert np.all(out >= 0.0) and np.all(out <= 1.0)
-        assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-9)
+        q, k = Tensor(rng.normal(scale=5.0, size=(2, 4, 6))), Tensor(rng.normal(size=(2, 7, 6)))
+        attn = attention(q, k, k, 3)[1].data
+        assert np.all(attn >= 0.0) and np.all(attn <= 1.0)
+        assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
 
 
 def test_log_softmax_matches_log_of_softmax():
@@ -418,8 +431,6 @@ def _op_cases():
         ("mul", lambda p: tsum(mul(p["x"], p["y"])), {"x": (3, 4), "y": (3, 4)}),
         ("relu", lambda p: tsum(relu(p["x"])), {"x": (3, 4)}),
         ("matmul", lambda p: tsum(matmul(p["x"], p["y"])), {"x": (3, 4), "y": (4, 2)}),
-        ("softmax", lambda p: tsum(mul(softmax_lastdim(p["x"]), p["y"])),
-         {"x": (3, 5), "y": (3, 5)}),
         ("log_softmax", lambda p: tsum(mul(log_softmax_lastdim(p["x"]), p["y"])),
          {"x": (3, 5), "y": (3, 5)}),
         ("layer_norm", lambda p: tsum(layer_norm(p["x"], p["g"], p["b"])),
@@ -510,13 +521,6 @@ def _tape_case(draw, op):
     if op == "linear":
         x, w, b = _linear_shapes(draw)
         return (lambda p: linear(p["x"], p["w"], p["b"])), {"x": x, "w": w, "b": b}
-    if op == "softmax_lastdim":
-        shape = draw(_DIMS) + (draw(st.integers(1, 4)),)
-        keep = draw(st.lists(st.booleans(), min_size=math.prod(shape),
-                             max_size=math.prod(shape)))
-        mask = np.asarray(keep).reshape(shape)
-        mask[~mask.any(axis=-1), draw(st.integers(0, shape[-1] - 1))] = True
-        return (lambda p: softmax_lastdim(p["x"], mask)), {"x": shape}
     if op == "layer_norm":
         d = draw(st.integers(3, 5))
         x = draw(st.lists(_SIZE, max_size=2).map(tuple)) + (d,)
@@ -543,8 +547,8 @@ def _tape_case(draw, op):
     return (lambda p: mul(tsum(p["x"]), tsum(mul(p["x"], p["x"])))), {"x": draw(_DIMS)}
 
 
-@pytest.mark.parametrize("op", ["add", "mul", "matmul", "linear", "softmax_lastdim",
-                                "attention", "layer_norm", "conv1d_same", "concat", "tsum"])
+@pytest.mark.parametrize("op", ["add", "mul", "matmul", "linear", "attention", "layer_norm",
+                                "conv1d_same", "concat", "tsum"])
 @settings(max_examples=25)
 @given(data=st.data())
 def test_tape_op_gradients_over_drawn_shapes(op, data):
@@ -764,8 +768,7 @@ def test_parameter_set_sorted_iteration_and_copy():
     assert params.names() == ["a", "b"]
     snap = params.copy()
     params["a"].data += 5.0
-    params.load_data(snap)
-    assert np.array_equal(params["a"].data, np.zeros(3))
+    assert np.array_equal(snap["a"].data, np.zeros(3))
 
 
 def _small_conv_params():
@@ -805,9 +808,6 @@ def test_parameter_copy_shares_no_memory():
     params.data += 1.0
     params.grad += 1.0
     assert np.array_equal(snap.data, before) and not snap.grad.any()
-    params.load_data(snap)
-    assert np.array_equal(params.data, before)
-    assert not np.shares_memory(params.data, snap.data)
 
 
 @pytest.mark.invariant
@@ -841,6 +841,3 @@ def test_parameter_views_reject_other_layouts():
     params = _small_conv_params()
     with pytest.raises(ShapeError):
         params.views(np.zeros(params.data.size + 1))
-    other = ParameterSet({"a": Tensor(np.zeros(3), requires_grad=True)})
-    with pytest.raises(ValueError):
-        params.load_data(other)

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import re
 import shutil
 import struct
 from pathlib import Path
@@ -302,6 +303,37 @@ def test_train_single_batch_loss_decreases():
     decreases = sum(b < a for a, b in zip(losses, losses[1:]))
     assert decreases >= 45
     assert losses[-1] < 0.5 * losses[0]
+
+
+@pytest.mark.parametrize("max_len,train_pair,val_pairs,message", [
+    (128, "empty", [("abc", "abc")], "training corpus is empty"),
+    (128, None, [], "validation set 'v' is empty"),
+    (128, None, [("abc", "abc"), ("a" * 70, "b" * 70)],
+     "validation set 'v': pair 2 needs 71 tokens, over min(max_len, max_tokens) = 64"),
+    (32, None, [("abc", "a" * 40)], "validation set 'v': pair 1 needs 41 tokens"),
+    (32, ("a" * 40, "a" * 40), [("abc", "abc")], "training corpus: pair 6 needs 41 tokens"),
+], ids=["empty-train", "empty-val", "val-over-budget", "val-over-max-len",
+        "train-over-max-len"])
+def test_train_checks_its_inputs_before_the_first_step(max_len, train_pair, val_pairs,
+                                                       message):
+    """An empty set and a pair over min(max_len, max_tokens) fail before any
+    step, naming the set and the pair's position, with the parameters
+    untouched."""
+    corpus, vocab, config = _micro_task(n_pairs=40)
+    config = dataclasses.replace(config, max_len=max_len)
+    if train_pair == "empty":
+        corpus.pairs.clear()
+    elif train_pair is not None:
+        corpus.pairs[5] = train_pair
+    params = build_params(config, seed=0)
+    before = params.data.copy()
+    log = TrainLog()
+    tc = TrainConfig(epochs=1, max_tokens=64, warmup=10, seed=0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        train(params, config, tc, corpus, vocab, val_sets={"v": ParallelCorpus(val_pairs)},
+              log=log)
+    assert not log.steps
+    assert params.data.tobytes() == before.tobytes()
 
 
 def test_train_aborts_on_non_finite_with_restore():
