@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Vocabulary, batch_from_rows, encode_pair
 from .model import ModelConfig, extract_cross_attention
-from .tensor import ParameterSet
+from .tensor import ParameterSet, _map_untaped
 
 DEFAULT_GRID = 32    # grid extent on both axes
 DEFAULT_K = 10       # canonical correlations averaged into rho_mean
@@ -41,13 +41,16 @@ class CcaReport:
 def cross_attention_maps(params: ParameterSet, config: ModelConfig,
                          pairs: list[tuple[str, str]], vocab: Vocabulary) -> list[np.ndarray]:
     """Last-layer, head-averaged cross-attention of each (source, target)
-    pair under teacher forcing, batched in chunks of _COLLECT_CHUNK pairs."""
-    maps: list[np.ndarray] = []
-    for start in range(0, len(pairs), _COLLECT_CHUNK):
+    pair under teacher forcing, batched in chunks of _COLLECT_CHUNK pairs.
+    The chunks run through ``_map_untaped``, on up to ``UNTAPED_THREADS``
+    threads; the maps come back in pair order."""
+    def chunk_maps(start: int) -> list[np.ndarray]:
         chunk = pairs[start:start + _COLLECT_CHUNK]
         batch = batch_from_rows([encode_pair(src, tgt, vocab) for src, tgt in chunk])
-        maps += extract_cross_attention(batch, params, config)
-    return maps
+        return extract_cross_attention(batch, params, config)
+
+    starts = list(range(0, len(pairs), _COLLECT_CHUNK))
+    return [m for maps in _map_untaped(chunk_maps, starts) for m in maps]
 
 
 def collect_alignments(models: list[tuple[ParameterSet, ModelConfig, Vocabulary]],

@@ -4,6 +4,10 @@ Each step runs the decoder on the new position only: a ``DecoderState``
 keeps every layer's keys and values of the positions before it, and the
 cross-attention keys and values of each source row, projected once,
 with the row's key mask.
+A batch of sources is padded once and its rows are searched in parts, on
+up to ``tensor.UNTAPED_THREADS`` threads; a part keeps the batch's
+padding, so every row decodes bit for bit as in one search over the
+batch. A single source is one part, in the calling thread.
 The search is deterministic: hypotheses are ranked by (log-probability
 desc, ids asc), so equal scores resolve lexicographically and a greedy
 step's ties go to the lowest token id. A hard length cap guarantees
@@ -20,6 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import tensor
 from .data import (
     BOS_ID,
     EOS_ID,
@@ -39,6 +44,7 @@ from .model import (
 from .tensor import (
     ParameterSet,
     Tensor,
+    _map_untaped,
     log_softmax_lastdim,
     require_finite,
     rerun_checked,
@@ -63,10 +69,9 @@ def _length_cap(src_len: int, config: ModelConfig) -> int:
     return max(1, min(cap, config.max_len - 1))
 
 
-@rerun_checked
-def _search(params: ParameterSet, config: ModelConfig, srcs: list[str],
-            vocab: Vocabulary, width: int) -> list[str]:
-    """Beam search of width ``width`` over a batch of sources.
+def _search_rows(params: ParameterSet, config: ModelConfig, src: Batch, caps: list[int],
+                 vocab: Vocabulary, width: int) -> list[str]:
+    """Beam search of width ``width`` over the padded sources of ``src``.
 
     A hypothesis is (-logP, ids, finished, parent), so tuple order
     is the ranking (ids are distinct within a row, so ``parent`` never
@@ -77,13 +82,8 @@ def _search(params: ParameterSet, config: ModelConfig, srcs: list[str],
     emitted EOS or reached its cap. Finished hypotheses keep competing for
     beam slots with frozen log-probabilities.
     """
-    if not srcs:
-        return []
-    rows = [encode_pair(s, "", vocab) for s in srcs]
-    caps = [_length_cap(len(r[0]), config) for r in rows]
-    src = batch_from_rows(rows)
     # the last field is the hypothesis's row in the previous decoder call
-    beams = [[(0.0, (), False, r)] for r in range(len(rows))]
+    beams = [[(0.0, (), False, r)] for r in range(len(caps))]
     state = DecoderState(encoder_forward(src, params, config), src.src_mask, params, config)
     for step in itertools.count(1):
         live = [(r, h) for r, beam in enumerate(beams) for h in beam if not h[2]]
@@ -111,10 +111,43 @@ def _search(params: ParameterSet, config: ModelConfig, srcs: list[str],
     return [decode(beam[0][1], vocab) for beam in beams]
 
 
+@rerun_checked
+def _search(params: ParameterSet, config: ModelConfig, srcs: list[str],
+            vocab: Vocabulary, width: int) -> list[str]:
+    """Beam search of width ``width`` over a batch of sources.
+
+    The sources are padded together once. Their rows are then dealt out,
+    row i to part i mod P, into P = min(UNTAPED_THREADS, rows) parts that
+    search side by side through ``_map_untaped``. A part keeps the whole
+    batch's padding, and every op computes each row alone, so each row's
+    encoder output and step logits are the ones one search over the whole
+    batch gives, bit for bit.
+    """
+    if not srcs:
+        return []
+    rows = [encode_pair(s, "", vocab) for s in srcs]
+    caps = [_length_cap(len(r[0]), config) for r in rows]
+    src = batch_from_rows(rows)
+    n_parts = min(tensor.UNTAPED_THREADS, len(rows))
+
+    def search(first: int) -> list[str]:
+        part = slice(first, None, n_parts)
+        return _search_rows(params, config, Batch(src.src_ids[part], src.tgt_in_ids[part],
+                                                  src.tgt_out_ids[part]),
+                            caps[part], vocab, width)
+
+    hyps: list[str] = [""] * len(rows)
+    for first, part_hyps in enumerate(_map_untaped(search, list(range(n_parts)))):
+        hyps[first::n_parts] = part_hyps
+    return hyps
+
+
 def greedy_decode_batch(params: ParameterSet, config: ModelConfig, srcs: list[str],
                         vocab: Vocabulary) -> list[str]:
     """Greedy-decode many sources at once; equivalent to sentence-by-sentence
-    decoding because source pad positions are masked out of every sub-layer."""
+    decoding because source pad positions are masked out of every sub-layer.
+    The rows are searched in interleaved parts on up to
+    ``tensor.UNTAPED_THREADS`` threads, with the same ids as one part."""
     return _search(params, config, srcs, vocab, 1)
 
 

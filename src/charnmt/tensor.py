@@ -21,14 +21,21 @@ outputs once, with ``require_finite``, and after a failure runs again with
 every op checked, so the error still names the op. Ops that only move,
 select or clamp values never check, so a non-finite leaf is caught at the
 first arithmetic op that reads it.
+
+Threads: taped work runs on one thread. An untaped caller may split its
+rows into parts and run them through ``_map_untaped`` on up to
+``UNTAPED_THREADS`` threads; numpy releases the interpreter lock inside
+its products and reductions, so the parts overlap there.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
+import threading
 from contextlib import contextmanager
-from contextvars import ContextVar
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, field
 from functools import wraps
 from typing import Callable, Iterable, Iterator
@@ -105,6 +112,67 @@ def rerun_checked(fn: Callable) -> Callable:
     return call
 
 
+def _affinity_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+UNTAPED_THREADS = min(2, _affinity_cpus())  # the most threads ``_map_untaped`` uses
+
+
+def _map_untaped(fn: Callable, parts: list) -> list:
+    """``[fn(part) for part in parts]``, each call under ``no_grad``, on up
+    to ``UNTAPED_THREADS`` threads: the caller's and helpers it starts, each
+    taking the next part not yet taken.
+
+    Each part runs in its own copy of the caller's context, so the checked
+    re-run flag of ``rerun_checked`` carries over. Results come back in part
+    order. If parts fail, the first failing part's error is raised, once
+    every part has finished and every helper has ended. Fewer than two
+    parts, or one thread, run in the calling thread alone.
+
+    The name is private so that perfbench's layer tracer, which makes a span
+    of every public function, does not stand between a search's span and
+    the decoder calls it counts under it.
+    """
+    def run(part):
+        with no_grad():
+            return fn(part)
+
+    threads = min(UNTAPED_THREADS, len(parts))
+    if threads < 2:
+        return [run(part) for part in parts]
+    context, lock, todo = copy_context(), threading.Lock(), iter(range(len(parts)))
+    results: list = [None] * len(parts)
+    errors: list[BaseException | None] = [None] * len(parts)
+
+    def work():
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                results[i] = context.copy().run(run, parts[i])
+            except BaseException as err:  # re-raised by the caller, in part order
+                errors[i] = err
+
+    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    for err in errors:
+        if err is not None:
+            raise err
+    return results
+
+
 @dataclass
 class TapeNode:
     """One reverse-mode record: the op, its inputs, and a backward rule.
@@ -124,8 +192,9 @@ class Tensor:
 
     ``data`` is a row-major numpy array; ``grad`` has the same shape once
     populated by ``backward``. Tensors are plain values: ops return new
-    tensors and never mutate inputs. A tensor (and the tape hanging off
-    it) must stay confined to one thread.
+    tensors and never mutate inputs. Taped work (a tensor and the tape
+    hanging off it) stays on one thread; untaped callers may split their
+    rows over threads through ``_map_untaped``.
     """
 
     __slots__ = ("data", "_grad", "requires_grad", "node")

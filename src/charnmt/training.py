@@ -34,6 +34,7 @@ from .tensor import (
     NonFiniteError,
     ParameterSet,
     Tensor,
+    _map_untaped,
     log_softmax_lastdim,
     mul,
     require_finite,
@@ -224,18 +225,23 @@ class TrainLog:
 def evaluate(params: ParameterSet, config: ModelConfig, val_sets: dict[str, ParallelCorpus],
              vocab: Vocabulary, train_config: TrainConfig) -> tuple[float, dict[str, float]]:
     """Teacher-forced loss over all validation pairs and greedy-decoding
-    BLEU per validation set."""
-    losses, weights = [], []
+    BLEU per validation set. The loss batches run through ``_map_untaped``
+    and are averaged in batch order, so ``val_loss`` does not depend on how
+    many threads ran them."""
+    batches = [batch for corpus in val_sets.values()
+               for batch in make_batches(corpus, vocab, train_config.max_tokens, seed=0)]
+
+    def batch_loss(batch: Batch) -> float:
+        logits, cross_maps = model_forward(batch, params, config)
+        require_finite("the teacher-forced logits and cross-attention", logits.data,
+                       *(m.data for m in cross_maps))
+        return masked_cross_entropy(logits, batch.tgt_out_ids, batch.tgt_mask,
+                                    train_config.label_smoothing).item()
+
+    losses = _map_untaped(batch_loss, batches)
+    weights = [batch.n_target_tokens for batch in batches]
     bleus: dict[str, float] = {}
     for name, corpus in val_sets.items():
-        for batch in make_batches(corpus, vocab, train_config.max_tokens, seed=0):
-            logits, cross_maps = model_forward(batch, params, config)
-            require_finite("the teacher-forced logits and cross-attention", logits.data,
-                           *(m.data for m in cross_maps))
-            loss = masked_cross_entropy(logits, batch.tgt_out_ids, batch.tgt_mask,
-                                        train_config.label_smoothing)
-            losses.append(loss.item())
-            weights.append(batch.n_target_tokens)
         hyps = greedy_decode_batch(params, config, [s for s, _ in corpus.pairs], vocab)
         bleus[name] = corpus_bleu(hyps, [t for _, t in corpus.pairs],
                                   tokenizer=train_config.bleu_mode)

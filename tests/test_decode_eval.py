@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import charnmt.decoding
+import charnmt.tensor
 from charnmt.alignment import cross_attention_maps
 from charnmt.bleu import corpus_bleu
 from charnmt.data import BOS_ID, EOS_ID, ParallelCorpus, build_vocab, read_lines
@@ -184,12 +185,25 @@ def test_cached_search_emits_the_uncached_tokens(monkeypatch, width):
 def test_search_over_many_lines_equals_one_search_per_line(kind, width, srcs, seed):
     """One search over a batch of lines emits, token for token, what one
     search per line emits: rows of unequal length and cap, finishing at
-    different steps, do not disturb one another."""
+    different steps, do not disturb one another. The batch split over two
+    threads emits what it emits on one, and so do the attention maps of
+    more than one chunk of pairs."""
     params, config, vocab = _toy_model(seed=seed, n_layers=2, max_len=20, kind=kind)
     with mock.patch.object(charnmt.decoding, "decode", lambda ids, vocab: tuple(ids)):
-        together = charnmt.decoding._search(params, config, srcs, vocab, width)
+        with mock.patch.object(charnmt.tensor, "UNTAPED_THREADS", 2):
+            together = charnmt.decoding._search(params, config, srcs, vocab, width)
+        with mock.patch.object(charnmt.tensor, "UNTAPED_THREADS", 1):
+            one_thread = charnmt.decoding._search(params, config, srcs, vocab, width)
         alone = [charnmt.decoding._search(params, config, [s], vocab, width)[0] for s in srcs]
-    assert together == alone
+    assert together == one_thread == alone
+    if width == 1:  # the maps do not depend on the width
+        pairs = [(s, s[::-1]) for s in srcs] * (32 // len(srcs) + 1)
+        with mock.patch.object(charnmt.tensor, "UNTAPED_THREADS", 2):
+            split = cross_attention_maps(params, config, pairs, vocab)
+        with mock.patch.object(charnmt.tensor, "UNTAPED_THREADS", 1):
+            serial = cross_attention_maps(params, config, pairs, vocab)
+        assert len(pairs) > 32 and len(split) == len(pairs)
+        assert all(np.array_equal(a, b) for a, b in zip(split, serial))
 
 
 FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixture"
@@ -241,22 +255,24 @@ def test_nan_cross_attention_key_weight_stops_every_decoder_use():
     ("enc.0.conv.w5", "conv1d_same"), ("dec.0.self_attn.v_proj", "linear"),
     ("dec.1.cross_attn.q_proj", "linear"), ("dec.1.ff.w2", "linear"), ("out", "linear"),
 ])
-def test_nan_weight_error_names_the_op_in_every_untaped_use(weight, op):
+def test_nan_weight_error_names_the_op_in_every_untaped_use(monkeypatch, weight, op):
     """Untaped ops skip the per-op check; each caller checks its outputs
     once and, finding a NaN, runs again with every op checked, so the error
-    still names the op that made it."""
+    still names the op that made it, also where it arises on a helper thread
+    (greedy over three lines, two validation batches, two chunks of pairs)."""
+    monkeypatch.setattr(charnmt.tensor, "UNTAPED_THREADS", 2)
     params, config, vocab = _toy_model(seed=22, n_layers=2, kind="conv")
     params[f"{weight}.weight"].data.reshape(-1)[0] = np.nan
     match = f"op '{op}'"
     with pytest.raises(NonFiniteError, match=match):
-        greedy_decode_batch(params, config, ["ab", "dcba"], vocab)
+        greedy_decode_batch(params, config, ["ab", "dcba", "c"], vocab)
     with pytest.raises(NonFiniteError, match=match):
         beam_decode(params, config, "ab", vocab, DecodeConfig(beam_size=2))
+    val = ParallelCorpus(pairs=[("ab", "ba"), ("dcba", "abcd")])
     with pytest.raises(NonFiniteError, match=match):
-        evaluate(params, config, {"val": ParallelCorpus(pairs=[("ab", "ba")])}, vocab,
-                 TrainConfig(bleu_mode="char"))
+        evaluate(params, config, {"val": val}, vocab, TrainConfig(bleu_mode="char", max_tokens=5))
     with pytest.raises(NonFiniteError, match=match):
-        cross_attention_maps(params, config, [("ab", "ba")], vocab)
+        cross_attention_maps(params, config, [("ab", "ba")] * 33, vocab)
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,19 @@
 
 import math
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from charnmt.data import BOS_ID, PAD_ID, Batch, ParallelCorpus, build_vocab
+from charnmt.data import BOS_ID, PAD_ID, Batch, ParallelCorpus, build_vocab, read_lines
 from charnmt.model import (DecoderState, ModelConfig, build_params, conv_sub_block,
                            decoder_forward, encoder_forward,
                            extract_cross_attention, model_forward,
                            multi_head_attention, param_shapes, sinusoidal_positions)
 from charnmt.tensor import ParameterSet, ShapeError, Tensor, attention, grad_check, no_grad, tsum
+from charnmt.training import checkpoint_load
 from oracles import (closed_form_param_count, positions_closed_form,
                      stable_softmax, straight_line_decoder,
                      straight_line_encoder)
@@ -369,6 +371,41 @@ def test_reorder_carries_each_rows_source_mask(tiny_vocab, kind):
         for got, want in zip(cross, full_cross):
             assert np.allclose(got.data[:, :, 0], want.data[:, :, pos], rtol=0.0, atol=1e-12)
             assert np.all(got.data[np.broadcast_to(pad[:, None, None, :], got.shape)] == 0.0)
+
+
+FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixture"
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("ckpt", ["standard.ckpt", "conv.ckpt"])
+def test_row_subset_of_a_padded_batch_runs_bit_for_bit(ckpt):
+    """Rows taken out of a padded batch, at the batch's padding, get the
+    batch's encoder output and cached step logits bit for bit: every op
+    computes each row alone, so a search may split its rows into parts. The
+    last subset has no padded row, so it runs without a key mask."""
+    bundle = checkpoint_load(FIXTURE / ckpt)
+    params, config = bundle.params, bundle.config
+    batch = make_batch([(s, "") for s in read_lines(FIXTURE / "val.src")[:12]], bundle.vocab)
+    assert not batch.src_mask.all()
+    full_rows = np.flatnonzero(batch.src_mask.all(axis=1))
+    steps = np.concatenate([np.full((12, 1), BOS_ID),
+                            rand_rng(36).integers(4, config.vocab_size, size=(12, 3))], axis=1)
+
+    def run(rows):
+        src = Batch(batch.src_ids[rows], steps[rows, :1], steps[rows, :1])
+        with no_grad():
+            enc = encoder_forward(src, params, config)
+            state = DecoderState(enc, src.src_mask, params, config)
+            logits = [decoder_forward(Batch(src.src_ids, tok, tok), state, params, config)[0].data
+                      for tok in np.split(steps[rows], 4, axis=1)]
+        return state.cross_mask, enc.data, logits
+
+    _, enc, logits = run(np.arange(12))
+    for rows in (np.arange(0, 12, 2), np.arange(1, 12, 2), full_rows):
+        mask, sub_enc, sub_logits = run(rows)
+        assert (mask is None) == (rows is full_rows)
+        assert np.array_equal(sub_enc, enc[rows])
+        assert all(np.array_equal(a, b[rows]) for a, b in zip(sub_logits, logits))
 
 
 def test_decoder_state_rejects_positions_past_max_len(tiny_vocab):

@@ -2,7 +2,9 @@
 
 import ast
 import math
+import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 import charnmt
 from charnmt.model import ModelConfig, build_params
 from charnmt.tensor import (MaskError, NonFiniteError, ParameterSet, ShapeError,
-                            Tensor, add, attention, concat, conv1d_same, dropout, embedding,
-                            grad_check, init_param, layer_norm, linear, log_softmax_lastdim,
-                            matmul, mul, no_grad, relu, require_finite, rerun_checked,
-                            seed_for_name, tsum)
+                            Tensor, _map_untaped, add, attention, concat, conv1d_same, dropout,
+                            embedding, grad_check, init_param, layer_norm, linear,
+                            log_softmax_lastdim, matmul, mul, no_grad, relu, require_finite,
+                            rerun_checked, seed_for_name, tsum)
 from charnmt.training import AdamState, adam_step
 from oracles import brute_conv1d, heads_attention, naive_matmul, stable_softmax
 
@@ -405,6 +407,81 @@ def test_nested_rerun_checked_does_not_rerun_inside_a_checked_rerun():
         outer()
     assert runs.count("inner") == 3
     assert runs.count("outer") == 2
+
+
+def test_map_untaped_runs_parts_on_two_threads_in_order_and_untaped(monkeypatch):
+    """The first two parts wait for each other, so two threads run them;
+    each part runs under ``no_grad`` though the caller records a tape, the
+    results come back in part order, and no helper thread outlives the call."""
+    monkeypatch.setattr(charnmt.tensor, "UNTAPED_THREADS", 2)
+    start, threads = threading.active_count(), set()
+    both_running = threading.Barrier(2, timeout=30)
+    x = Tensor(np.arange(3.0), requires_grad=True)
+
+    def part(k):
+        threads.add(threading.get_ident())
+        if k < 2:
+            both_running.wait()
+        return mul(x, Tensor(np.full(3, float(k))))
+
+    out = _map_untaped(part, list(range(7)))
+    assert [o.data.tolist() for o in out] == [[0.0, k, 2.0 * k] for k in range(7)]
+    assert all(o.node is None and not o.requires_grad for o in out)
+    assert len(threads) == 2
+    assert threading.active_count() == start
+
+
+def test_map_untaped_takes_every_part_once_under_fast_thread_switching(monkeypatch):
+    """More threads than cores, switching every microsecond: each part is
+    taken by exactly one thread and its result lands in its own slot."""
+    monkeypatch.setattr(charnmt.tensor, "UNTAPED_THREADS", 4)
+    start, taken = threading.active_count(), []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = _map_untaped(lambda k: taken.append(k) or k * k, list(range(500)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [k * k for k in range(500)]
+    assert sorted(taken) == list(range(500))
+    assert threading.active_count() == start
+
+
+def test_map_untaped_raises_the_first_failing_part_once_every_part_finished(monkeypatch):
+    """Part 1 fails after part 3 has failed, and part 4 is the last to
+    finish; the error is part 1's, raised once part 4 is done, and no helper
+    thread is left."""
+    monkeypatch.setattr(charnmt.tensor, "UNTAPED_THREADS", 2)
+    start, finished = threading.active_count(), []
+
+    def part(k):
+        time.sleep({1: 0.05, 4: 0.1}.get(k, 0.0))
+        finished.append(k)
+        if k in (1, 3):
+            raise ValueError(f"part {k}")
+        return k
+
+    with pytest.raises(ValueError, match="part 1"):
+        _map_untaped(part, list(range(5)))
+    assert sorted(finished) == list(range(5))
+    assert threading.active_count() == start
+
+
+def test_map_untaped_parts_run_checked_inside_a_checked_rerun(monkeypatch):
+    """Each part copies the caller's context, so in the checked re-run of a
+    ``rerun_checked`` caller the parts' ops check and the error names the op."""
+    monkeypatch.setattr(charnmt.tensor, "UNTAPED_THREADS", 2)
+    big, runs = Tensor(np.array([1e308])), []
+
+    @rerun_checked
+    def caller():
+        runs.append("caller")
+        outs = _map_untaped(lambda k: mul(big, Tensor(np.array([k]))), [1.0, 2.0, 3.0])
+        require_finite("the products", *(o.data for o in outs))
+
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="'mul'"):
+        caller()
+    assert runs == ["caller", "caller"]
 
 
 @pytest.mark.invariant
