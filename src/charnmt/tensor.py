@@ -22,10 +22,16 @@ every op checked, so the error still names the op. Ops that only move,
 select or clamp values never check, so a non-finite leaf is caught at the
 first arithmetic op that reads it.
 
-Threads: taped work runs on one thread. An untaped caller may split its
-rows into parts and run them through ``_map_untaped`` on up to
-``UNTAPED_THREADS`` threads; numpy releases the interpreter lock inside
-its products and reductions, so the parts overlap there.
+Threads: one helper thread, started on first use and kept for the life
+of the process, shares the work of the calling thread (``_Jobs``). A tape
+is recorded and walked on the calling thread, and ``_make`` and the finite
+checks run there; ``Tensor.backward`` hands every leaf's gradient to the
+helper, in tape order, and ``adam_step`` one half of its arena. An untaped
+caller may split its rows into parts and run them through
+``_map_untaped``, the two threads each taking the next part. numpy
+releases the interpreter lock inside its products and reductions, so the
+two threads overlap there. With ``UNTAPED_THREADS`` below 2, everything
+runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -33,11 +39,12 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import queue
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, field
-from functools import wraps
+from functools import partial, wraps
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -119,19 +126,88 @@ def _affinity_cpus() -> int:
         return os.cpu_count() or 1
 
 
-UNTAPED_THREADS = min(2, _affinity_cpus())  # the most threads ``_map_untaped`` uses
+# 2: the caller and the helper thread share work; below 2, every job of
+# ``_Jobs`` runs inline in its caller. Read at each call, so a test may patch it.
+UNTAPED_THREADS = min(2, _affinity_cpus())
+
+_helper: threading.Thread | None = None  # started on first use
+_helper_jobs: queue.SimpleQueue = queue.SimpleQueue()
+_helper_lock = threading.Lock()
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    while True:
+        jobs.get()()  # a ``_Jobs`` job, which never raises
+
+
+def _forget_helper() -> None:
+    """In a forked child: the helper thread was not copied, so the next job starts a new one."""
+    global _helper, _helper_jobs, _helper_lock
+    _helper, _helper_jobs, _helper_lock = None, queue.SimpleQueue(), threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # platforms that fork
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+class _Jobs:
+    """Jobs run one after another, in the order given, on the one helper
+    thread, while the caller goes on with its own work. They run in a copy
+    of the caller's context, so numpy's ``errstate`` carries over.
+
+    ``wait`` returns once every job given has finished, then raises the
+    first job's error; the jobs after a failed one are skipped. Where the
+    helper is not used (``UNTAPED_THREADS`` below 2, or a caller that is
+    itself a job on the helper, which would wait for itself), each job runs
+    inline when given and its error is raised there.
+    """
+
+    def __init__(self):
+        global _helper
+        self._queue: queue.SimpleQueue | None = None
+        self._error: BaseException | None = None
+        self._context = copy_context()
+        if UNTAPED_THREADS < 2 or threading.current_thread() is _helper:
+            return
+        with _helper_lock:
+            if _helper is None:
+                _helper = threading.Thread(target=_serve, args=(_helper_jobs,),
+                                           name="charnmt-helper", daemon=True)
+                _helper.start()
+            self._queue = _helper_jobs
+
+    def submit(self, job: Callable[[], object]) -> None:
+        if self._queue is None:
+            job()
+        else:
+            self._queue.put(lambda: self._run(job))
+
+    def _run(self, job: Callable[[], object]) -> None:
+        if self._error is None:
+            try:
+                self._context.run(job)
+            except BaseException as err:  # raised by ``wait``, on the caller
+                self._error = err
+
+    def wait(self) -> None:
+        if self._queue is not None:
+            done = threading.Event()
+            self._queue.put(done.set)
+            done.wait()
+        if self._error is not None:
+            raise self._error
 
 
 def _map_untaped(fn: Callable, parts: list) -> list:
-    """``[fn(part) for part in parts]``, each call under ``no_grad``, on up
-    to ``UNTAPED_THREADS`` threads: the caller's and helpers it starts, each
-    taking the next part not yet taken.
+    """``[fn(part) for part in parts]``, each call under ``no_grad``, shared
+    by the calling thread and the helper thread of ``_Jobs``: each takes the
+    next part not yet taken.
 
     Each part runs in its own copy of the caller's context, so the checked
     re-run flag of ``rerun_checked`` carries over. Results come back in part
     order. If parts fail, the first failing part's error is raised, once
-    every part has finished and every helper has ended. Fewer than two
-    parts, or one thread, run in the calling thread alone.
+    every part has finished. Fewer than two parts, or a caller for which
+    ``_Jobs`` runs inline, run every part in the calling thread.
 
     The name is private so that perfbench's layer tracer, which makes a span
     of every public function, does not stand between a search's span and
@@ -141,8 +217,7 @@ def _map_untaped(fn: Callable, parts: list) -> list:
         with no_grad():
             return fn(part)
 
-    threads = min(UNTAPED_THREADS, len(parts))
-    if threads < 2:
+    if len(parts) < 2:
         return [run(part) for part in parts]
     context, lock, todo = copy_context(), threading.Lock(), iter(range(len(parts)))
     results: list = [None] * len(parts)
@@ -159,14 +234,12 @@ def _map_untaped(fn: Callable, parts: list) -> list:
             except BaseException as err:  # re-raised by the caller, in part order
                 errors[i] = err
 
-    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
-    for helper in helpers:
-        helper.start()
+    jobs = _Jobs()
+    jobs.submit(work)  # where ``_Jobs`` runs inline, this takes every part
     try:
         work()
     finally:
-        for helper in helpers:
-            helper.join()
+        jobs.wait()
     for err in errors:
         if err is not None:
             raise err
@@ -179,7 +252,11 @@ class TapeNode:
 
     Per-op cached forward values live in the ``backward`` closure. The tape
     formed by following ``inputs`` is acyclic; ``Tensor.backward`` visits
-    each node exactly once in reverse topological order.
+    each node exactly once in reverse topological order. ``backward`` maps
+    the output's gradient to one gradient per input: an array, or a
+    zero-argument callable that returns one, which ``Tensor.backward`` calls
+    only for an input that requires a gradient, off the critical path if
+    that input is a leaf.
     """
 
     op: str
@@ -192,9 +269,10 @@ class Tensor:
 
     ``data`` is a row-major numpy array; ``grad`` has the same shape once
     populated by ``backward``. Tensors are plain values: ops return new
-    tensors and never mutate inputs. Taped work (a tensor and the tape
-    hanging off it) stays on one thread; untaped callers may split their
-    rows over threads through ``_map_untaped``.
+    tensors and never mutate inputs. A tape is recorded and walked on one
+    thread; ``backward`` hands the leaves' gradients to the helper thread
+    (see ``_Jobs``), and untaped callers may split their rows over both
+    threads through ``_map_untaped``.
     """
 
     __slots__ = ("data", "_grad", "requires_grad", "node")
@@ -240,7 +318,13 @@ class Tensor:
         """Populate ``grad`` on every requires_grad tensor reachable from here.
 
         Only valid on scalar (single-element) tensors. Gradients accumulate
-        across calls until ``ParameterSet.zero_grad``.
+        across calls until ``ParameterSet.zero_grad``. The calling thread
+        walks the tape and accumulates the gradients of intermediate
+        tensors; every leaf's gradient (a tensor with no node: in the models,
+        a parameter) is computed and accumulated by the ``_Jobs`` helper, in
+        tape order, so each sum runs in the same order on one thread or two.
+        No leaf job still runs when this returns or raises; a leaf job's
+        error is raised here, after every job has stopped.
         """
         if self.size != 1:
             raise ShapeError(f"backward on non-scalar tensor of shape {self.shape}")
@@ -261,20 +345,33 @@ class Tensor:
         if self._grad is None:
             self._grad = np.zeros_like(self.data)
         self._grad += 1.0
-        for t in reversed(topo):
-            node = t.node
-            assert node is not None
-            grads = node.backward(t._grad)
-            for parent, g in zip(node.inputs, grads):
-                if not parent.requires_grad:
-                    continue
-                if parent._grad is None:
-                    # laid out like the data: kept in ``g``'s strides, later
-                    # products would round differently
-                    parent._grad = np.empty_like(parent.data)
-                    np.copyto(parent._grad, g)
-                else:
-                    parent._grad += g
+        leaves = _Jobs()
+        try:
+            for t in reversed(topo):
+                node = t.node
+                assert node is not None
+                grads = node.backward(t._grad)
+                for parent, g in zip(node.inputs, grads):
+                    if not parent.requires_grad:
+                        continue
+                    if parent.node is None:
+                        leaves.submit(partial(parent._accumulate, g))
+                    else:
+                        parent._accumulate(g)
+        finally:
+            leaves.wait()
+
+    def _accumulate(self, g) -> None:
+        """Add ``g``, an array or a callable returning one, to ``grad``."""
+        if callable(g):
+            g = g()
+        if self._grad is None:
+            # laid out like the data: kept in ``g``'s strides, later products
+            # would round differently
+            self._grad = np.empty_like(self.data)
+            np.copyto(self._grad, g)
+        else:
+            self._grad += g
 
 
 def _as_tensor(x) -> Tensor:
@@ -358,9 +455,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def _matmul_grads(g: np.ndarray, a_data: np.ndarray, b_data: np.ndarray,
                   a_shape: tuple[int, ...], b_shape: tuple[int, ...]) -> tuple:
-    """dA = dC @ B^T and dB = A^T @ dC, batched, each summed over its broadcast dims."""
+    """dA = dC @ B^T and dB = A^T @ dC, batched, each summed over its
+    broadcast dims; dB is deferred (see ``TapeNode``)."""
     return (_unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_shape),
-            _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape))
+            lambda: _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -377,7 +475,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x_data, w_data = x.data, w.data
 
     def backward(g):
-        return *_matmul_grads(g, x_data, w_data, x.shape, w.shape), _unbroadcast(g, b.shape)
+        return *_matmul_grads(g, x_data, w_data, x.shape, w.shape), \
+            lambda: _unbroadcast(g, b.shape)
 
     return _make("linear", out, (x, w, b), backward)
 
@@ -482,7 +581,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
         dx = inv * term
         axes = tuple(range(g.ndim - 1))
-        return dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+        return dx, lambda: (g * xhat).sum(axis=axes), lambda: g.sum(axis=axes)
 
     return _make("layer_norm", out, (x, gain, bias), backward)
 
@@ -519,12 +618,17 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
     def backward(g):
         dxp = np.zeros_like(xp)
-        dk = np.zeros_like(k_data)
-        g2 = g.reshape(-1, d_out)
         for k in range(w):
             dxp[..., k:k + t, :] += np.matmul(g, k_data[k].T)
-            dk[k] = xp[..., k:k + t, :].reshape(-1, d_in).T @ g2
-        return dxp[..., pad:pad + t, :], dk, g2.sum(axis=0)
+        g2 = g.reshape(-1, d_out)
+
+        def kernel_grad():
+            dk = np.zeros_like(k_data)
+            for k in range(w):
+                dk[k] = xp[..., k:k + t, :].reshape(-1, d_in).T @ g2
+            return dk
+
+        return dxp[..., pad:pad + t, :], kernel_grad, lambda: g2.sum(axis=0)
 
     return _make("conv1d_same", out, (x, kernels, bias), backward)
 
@@ -558,9 +662,12 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     d = weight.shape[1]
 
     def backward(g):
-        dw = np.zeros_like(weight.data)
-        np.add.at(dw, ids.reshape(-1), g.reshape(-1, d))
-        return (dw,)
+        def weight_grad():
+            dw = np.zeros_like(weight.data)
+            np.add.at(dw, ids.reshape(-1), g.reshape(-1, d))
+            return dw
+
+        return (weight_grad,)
 
     return _make("embedding", out, (weight,), backward)
 

@@ -96,7 +96,9 @@ def adam_step(params: ParameterSet, state: AdamState, lr: float) -> None:
     gradient buffer, in place.
 
     A non-finite gradient aborts, naming the first parameter that holds
-    one, before any parameter or moment is touched.
+    one, before any parameter or moment is touched. The two halves of the
+    arena update side by side through ``_map_untaped``; every expression is
+    per element, so the result does not depend on the split.
     """
     if lr <= 0.0:
         raise ValueError("lr must be positive")
@@ -107,11 +109,17 @@ def adam_step(params: ParameterSet, state: AdamState, lr: float) -> None:
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
-    state.m *= ADAM_BETA1
-    state.m += (1.0 - ADAM_BETA1) * g
-    state.v *= ADAM_BETA2
-    state.v += (1.0 - ADAM_BETA2) * g * g
-    params.data -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
+
+    def update(part: slice) -> None:
+        gp, m, v, data = g[part], state.m[part], state.v[part], params.data[part]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * gp
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * gp * gp
+        data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+
+    half = g.size // 2
+    _map_untaped(update, [slice(0, half), slice(half, None)])
 
 
 def lr_at_step(step: int, d_model: int, warmup: int) -> float:

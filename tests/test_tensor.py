@@ -2,6 +2,8 @@
 
 import ast
 import math
+import multiprocessing
+import os
 import sys
 import threading
 import time
@@ -19,7 +21,8 @@ from charnmt.tensor import (MaskError, NonFiniteError, ParameterSet, ShapeError,
                             log_softmax_lastdim, matmul, mul, no_grad, relu, require_finite,
                             rerun_checked, seed_for_name, tsum)
 from charnmt.training import AdamState, adam_step
-from oracles import brute_conv1d, heads_attention, naive_matmul, stable_softmax
+from oracles import (brute_conv1d, brute_layer_norm, heads_attention, naive_matmul,
+                     stable_softmax)
 
 from conftest import rand_rng
 
@@ -409,12 +412,45 @@ def test_nested_rerun_checked_does_not_rerun_inside_a_checked_rerun():
     assert runs.count("outer") == 2
 
 
+def _thread_count_with_helper(monkeypatch) -> int:
+    """Patch two threads, make sure the one helper thread is running, and
+    return the process's thread count, which later calls must not change."""
+    monkeypatch.setattr(charnmt.tensor, "UNTAPED_THREADS", 2)
+    _map_untaped(abs, [1, 2])
+    return threading.active_count()
+
+
+def _finishes(fn, timeout: float = 30.0):
+    """``fn()`` run in a thread of its own: its result, or its error raised
+    here; a call still running after ``timeout`` seconds fails the test."""
+    out: dict = {}
+
+    def call():
+        try:
+            out["result"] = fn()
+        except BaseException as err:  # re-raised below, on the test's thread
+            out["error"] = err
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(timeout)
+    assert not worker.is_alive(), f"still running after {timeout} s: a deadlock"
+    if "error" in out:
+        raise out["error"]
+    return out["result"]
+
+
+def _custom(op: str, inputs, backward) -> Tensor:
+    """A one-element taped op over ``inputs`` with the given backward rule."""
+    return charnmt.tensor._make(op, np.zeros(1), tuple(inputs), backward)
+
+
 def test_map_untaped_runs_parts_on_two_threads_in_order_and_untaped(monkeypatch):
     """The first two parts wait for each other, so two threads run them;
     each part runs under ``no_grad`` though the caller records a tape, the
-    results come back in part order, and no helper thread outlives the call."""
-    monkeypatch.setattr(charnmt.tensor, "UNTAPED_THREADS", 2)
-    start, threads = threading.active_count(), set()
+    results come back in part order, and the second thread is the one
+    persistent helper, so the thread count does not change."""
+    start, threads = _thread_count_with_helper(monkeypatch), set()
     both_running = threading.Barrier(2, timeout=30)
     x = Tensor(np.arange(3.0), requires_grad=True)
 
@@ -432,10 +468,9 @@ def test_map_untaped_runs_parts_on_two_threads_in_order_and_untaped(monkeypatch)
 
 
 def test_map_untaped_takes_every_part_once_under_fast_thread_switching(monkeypatch):
-    """More threads than cores, switching every microsecond: each part is
+    """The caller and the helper, switching every microsecond: each part is
     taken by exactly one thread and its result lands in its own slot."""
-    monkeypatch.setattr(charnmt.tensor, "UNTAPED_THREADS", 4)
-    start, taken = threading.active_count(), []
+    start, taken = _thread_count_with_helper(monkeypatch), []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -449,10 +484,9 @@ def test_map_untaped_takes_every_part_once_under_fast_thread_switching(monkeypat
 
 def test_map_untaped_raises_the_first_failing_part_once_every_part_finished(monkeypatch):
     """Part 1 fails after part 3 has failed, and part 4 is the last to
-    finish; the error is part 1's, raised once part 4 is done, and no helper
-    thread is left."""
-    monkeypatch.setattr(charnmt.tensor, "UNTAPED_THREADS", 2)
-    start, finished = threading.active_count(), []
+    finish; the error is part 1's, raised once part 4 is done, and no
+    thread is added."""
+    start, finished = _thread_count_with_helper(monkeypatch), []
 
     def part(k):
         time.sleep({1: 0.05, 4: 0.1}.get(k, 0.0))
@@ -482,6 +516,158 @@ def test_map_untaped_parts_run_checked_inside_a_checked_rerun(monkeypatch):
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="'mul'"):
         caller()
     assert runs == ["caller", "caller"]
+
+
+def test_backward_raises_the_error_of_a_leaf_job_and_works_after_it(monkeypatch):
+    """A deferred leaf gradient fails on the helper: ``backward`` raises its
+    error, and the next ``backward`` fills the gradient as usual."""
+    start = _thread_count_with_helper(monkeypatch)
+    x, ran_on = Tensor(np.ones(1), requires_grad=True), []
+
+    def fail():
+        ran_on.append(threading.get_ident())
+        raise ValueError("leaf job failed")
+
+    with pytest.raises(ValueError, match="leaf job failed"):
+        _finishes(_custom("fail", [x], lambda g: (fail,)).backward)
+    assert ran_on == [charnmt.tensor._helper.ident] and x.grad is None
+    _finishes(tsum(mul(x, x)).backward)
+    assert np.array_equal(x.grad, [2.0])
+    assert threading.active_count() == start
+
+
+def test_backward_that_fails_on_the_caller_waits_for_its_leaf_jobs(monkeypatch):
+    """The caller raises while a leaf job still runs on the helper;
+    ``backward`` returns only once the job has written its gradient, and
+    nothing writes to the arena after that."""
+    _thread_count_with_helper(monkeypatch)
+    params = ParameterSet({"x": Tensor(np.ones(1), requires_grad=True),
+                           "z": Tensor(np.ones(1), requires_grad=True)})
+    started, finished = threading.Event(), []
+
+    def slow_leaf():
+        started.set()
+        time.sleep(0.2)
+        finished.append(True)
+        return np.full(1, 3.0)
+
+    def fail(g):
+        assert started.wait(timeout=30)
+        raise ValueError("caller failed")
+
+    y = _custom("fail", [params["z"]], fail)
+    with pytest.raises(ValueError, match="caller failed"):
+        _finishes(_custom("pair", [params["x"], y], lambda g: (slow_leaf, g)).backward)
+    assert finished == [True]
+    after = params.grad.copy()
+    time.sleep(0.3)
+    assert np.array_equal(params.grad, after) and np.array_equal(after, [3.0, 0.0])
+
+
+def test_map_untaped_and_backward_inside_a_helper_job_run_inline(monkeypatch):
+    """A job on the helper that calls ``backward`` or ``_map_untaped`` runs
+    their work itself instead of waiting for the helper, that is, for itself."""
+    start = _thread_count_with_helper(monkeypatch)
+    helper, out = charnmt.tensor._helper.ident, {}
+
+    def job():
+        x = Tensor(np.ones(2), requires_grad=True)
+        leaf_on = []
+        _custom("probe", [x], lambda g: (lambda: leaf_on.append(threading.get_ident())
+                                         or np.ones(2),)).backward()
+        out.update(job=threading.get_ident(), leaf=leaf_on, grad=x.grad,
+                   parts=_map_untaped(lambda k: threading.get_ident(), [0, 1, 2]))
+
+    jobs = charnmt.tensor._Jobs()
+    jobs.submit(job)
+    _finishes(jobs.wait)
+    assert out["job"] == helper and out["leaf"] == [helper] and out["parts"] == [helper] * 3
+    assert np.array_equal(out["grad"], np.ones(2))
+    assert threading.active_count() == start
+
+
+def test_thread_count_stays_flat_over_many_steps(monkeypatch):
+    """Backward, Adam and ``_map_untaped`` share the one helper thread: a
+    few hundred calls start no thread."""
+    start = _thread_count_with_helper(monkeypatch)
+    rng = rand_rng(23)
+    params = ParameterSet({"w": Tensor(rng.normal(size=(4, 3)), requires_grad=True),
+                           "b": Tensor(rng.normal(size=3), requires_grad=True)})
+    adam, x = AdamState.for_params(params), Tensor(rng.normal(size=(2, 5, 4)))
+    for _ in range(200):
+        params.zero_grad()
+        tsum(linear(x, params["w"], params["b"])).backward()
+        adam_step(params, adam, lr=1e-3)
+        assert _map_untaped(abs, [1, -2, 3]) == [1, 2, 3]
+        assert threading.active_count() == start
+
+
+def test_a_forked_child_starts_its_own_helper(monkeypatch):
+    """A forked child has no copy of the helper thread; its first backward
+    starts a new one instead of waiting forever for the missing one."""
+    _thread_count_with_helper(monkeypatch)
+    x = Tensor(np.ones(3), requires_grad=True)
+
+    def step():
+        tsum(mul(x, x)).backward()
+        os._exit(0 if np.array_equal(x.grad, [2.0, 2.0, 2.0]) else 1)
+
+    child = multiprocessing.get_context("fork").Process(target=step)
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+    assert child.exitcode == 0
+
+
+def _leaf_op_cases():
+    """The ops whose leaf gradients are deferred, with a forward oracle from
+    ``oracles.py`` (numpy indexing for ``embedding``) and the input shapes;
+    each op is affine in every input but ``x``."""
+    ids = np.array([[0, 3, 3, 5], [6, 1, 0, 2]])
+    return [
+        ("linear", linear,
+         lambda x, w, b: np.stack([naive_matmul(row, w) for row in x]) + b,
+         {"x": (2, 3, 4), "w": (4, 5), "b": (5,)}),
+        ("conv1d_same", conv1d_same,
+         lambda x, k, b: np.stack([brute_conv1d(row, k, b) for row in x]),
+         {"x": (2, 6, 3), "k": (3, 3, 4), "b": (4,)}),
+        ("layer_norm", layer_norm, brute_layer_norm, {"x": (2, 3, 6), "g": (6,), "b": (6,)}),
+        ("embedding", lambda w: embedding(w, ids), lambda w: w[ids], {"w": (7, 4)}),
+    ]
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("name,op,oracle,shapes", _leaf_op_cases(),
+                         ids=[c[0] for c in _leaf_op_cases()])
+def test_deferred_leaf_gradients_equal_on_one_and_two_threads(name, op, oracle, shapes,
+                                                              monkeypatch):
+    """Every gradient is equal with one thread and with two; each leaf's
+    gradient also matches the oracle's, which (the op being affine in the
+    leaf) is its loss at each unit entry less its loss at zero."""
+    rng = rand_rng(41)
+    arrays = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+    r = rng.normal(size=oracle(*arrays.values()).shape)
+    grads = {}
+    for threads in (1, 2):
+        monkeypatch.setattr(charnmt.tensor, "UNTAPED_THREADS", threads)
+        leaves = {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}
+        tsum(mul(op(*leaves.values()), Tensor(r))).backward()
+        grads[threads] = {k: t.grad for k, t in leaves.items()}
+    for k in arrays:
+        assert np.array_equal(grads[1][k], grads[2][k]), k
+
+    def loss(k, value):
+        return float((oracle(*{**arrays, k: value}.values()) * r).sum())
+
+    for k in (k for k in arrays if k != "x"):
+        zero = np.zeros(shapes[k])
+        expected = np.empty(shapes[k])
+        for i in np.ndindex(*shapes[k]):
+            unit = zero.copy()
+            unit[i] = 1.0
+            expected[i] = loss(k, unit) - loss(k, zero)
+        assert np.allclose(grads[2][k], expected, rtol=1e-9, atol=1e-9), k
 
 
 @pytest.mark.invariant

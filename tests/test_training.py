@@ -3,9 +3,11 @@
 import dataclasses
 import io
 import json
+import math
 import re
 import shutil
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +16,9 @@ import pytest
 from charnmt.data import (BOS_ID, ParallelCorpus, batch_from_rows, build_vocab, encode_pair,
                           make_batches)
 from charnmt.model import ModelConfig, build_params, model_forward
-from charnmt.tensor import (MaskError, NonFiniteError, ParameterSet, Tensor, mul, seed_for_name,
-                            tsum)
+from charnmt.tensor import (MaskError, NonFiniteError, ParameterSet, Tensor, linear, mul,
+                            seed_for_name, tsum)
+import charnmt.tensor
 import charnmt.training
 from charnmt.training import (AdamState, TrainConfig, TrainLog, adam_step,
                               checkpoint_load, checkpoint_save, clip_grad_norm,
@@ -171,6 +174,76 @@ def test_nan_embedding_weight_stops_a_training_step(tiny_setup):
               ParallelCorpus(pairs=[("abcd", "dcba")]), vocab)
     assert isinstance(err.value.__cause__, NonFiniteError)
     assert np.array_equal(params.data, before, equal_nan=True)
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("size", [1, 2, 7, 4_097])
+def test_adam_halves_update_like_one_thread(size, monkeypatch):
+    """The arena's two halves, updated side by side (one of them empty for a
+    single value, of unequal lengths for an odd count), give the bytes of
+    the one-thread update and of the per-name oracle over three steps."""
+    rng = rand_rng(size)
+    init, grads = rng.normal(size=size), [rng.normal(size=size) for _ in range(3)]
+    weights, m, v, t = {"x": init}, {"x": np.zeros(size)}, {"x": np.zeros(size)}, 0
+    for step, g in enumerate(grads, 1):
+        weights, m, v, t, _ = adam_and_clip(weights, m, v, t, {"x": g}, 0.01 / step, math.inf)
+    for threads in (1, 2):
+        monkeypatch.setattr(charnmt.tensor, "UNTAPED_THREADS", threads)
+        params = ParameterSet({"x": Tensor(init, requires_grad=True)})
+        state = AdamState.for_params(params)
+        for step, g in enumerate(grads, 1):
+            params.grad[:] = g
+            adam_step(params, state, lr=0.01 / step)
+        assert np.array_equal(params.data, weights["x"]), threads
+        assert np.array_equal(state.m, m["x"]) and np.array_equal(state.v, v["x"]), threads
+
+
+def test_non_finite_gradient_from_the_helper_names_its_parameter(monkeypatch):
+    """A weight gradient that overflows on the helper thread is named by
+    ``adam_step``, which then moves no parameter or moment. The caller's
+    ``errstate`` holds on the helper too: no warning is issued."""
+    monkeypatch.setattr(charnmt.tensor, "UNTAPED_THREADS", 2)
+    params = ParameterSet({"a": Tensor(np.ones(3), requires_grad=True),
+                           "b": Tensor(np.ones(3), requires_grad=True),
+                           "w": Tensor(np.full((2, 3), 1e-200), requires_grad=True)})
+    x = Tensor(np.full((1, 4, 2), 1e200))
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tsum(mul(mul(linear(x, params["w"], params["b"]), params["a"]),
+                 Tensor(np.full(3, 1e200)))).backward()
+    assert np.isfinite(params["a"].grad).all() and np.isfinite(params["b"].grad).all()
+    before, state = params.data.copy(), AdamState.for_params(params)
+    with pytest.raises(NonFiniteError, match="'w'"):
+        adam_step(params, state, lr=0.1)
+    assert np.array_equal(params.data, before) and state.t == 0
+    assert not state.m.any() and not state.v.any()
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("kind", ["standard", "conv"])
+def test_training_steps_are_bit_equal_on_one_and_two_threads(kind, tiny_vocab, monkeypatch):
+    """Leaf gradients on the helper thread and Adam's halves side by side
+    leave the losses, parameters, gradients and both moments of two steps
+    with dropout byte for byte as on one thread."""
+    config = ModelConfig(vocab_size=tiny_vocab.size, d_model=16, n_layers=2, n_heads=2,
+                         d_ff=32, max_len=64, encoder_kind=kind, dropout=0.1)
+    batch = make_batch([("abcd", "dcba"), ("ab", "ba"), ("dca", "acd")], tiny_vocab)
+    runs = []
+    for threads in (1, 2):
+        monkeypatch.setattr(charnmt.tensor, "UNTAPED_THREADS", threads)
+        params, rng = build_params(config, seed=7), rand_rng(3)
+        adam, losses = AdamState.for_params(params), []
+        for step in (1, 2):
+            params.zero_grad()
+            logits, _ = model_forward(batch, params, config, rng=rng)
+            loss = masked_cross_entropy(logits, batch.tgt_out_ids, batch.tgt_mask, 0.1)
+            loss.backward()
+            clip_grad_norm(params)
+            adam_step(params, adam, lr_at_step(step, config.d_model, warmup=2))
+            losses.append(loss.item())
+        runs.append((np.array(losses), params.data, params.grad, adam.m, adam.v))
+    for one, two in zip(*runs):
+        assert np.array_equal(one, two)
 
 
 def test_adam_names_first_non_finite_parameter():
