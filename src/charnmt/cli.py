@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from .alignment import (
@@ -33,43 +34,53 @@ from .data import (
     mix_corpora,
     overlong_pair,
     read_lines,
+    read_paired,
+    read_text,
     transliterate,
     write_lines,
 )
 from .decoding import DecodeConfig, beam_decode, greedy_decode_batch
-from .model import ModelConfig, build_params
-from .training import TrainConfig, checkpoint_load, checkpoint_save, train
+from .model import ModelConfig, build_params, check_field_types
+from .training import CheckpointBundle, TrainConfig, checkpoint_load, train
 
-_MODEL_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ModelConfig)
-                   if f.name != "vocab_size"}
-_TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
-_DATA_DEFAULTS = {
-    "corpora": [],   # [{"src": path, "tgt": path}, ...]
-    "val": [],       # as corpora, plus an optional "lang" naming the set
-    "vocab": None,   # path to an existing vocabulary file, else built
-    "translit": None,
-    "min_count": 1,
-}
 _ENTRY_KEYS = {"corpora": ("src", "tgt"), "val": ("src", "tgt", "lang")}
 
 
-def resolve_run_config(doc: dict) -> dict:
-    """Merge a run-config document over the documented defaults.
+@dataclasses.dataclass
+class DataConfig:
+    """The run config's data section; every entry value is a string."""
 
-    Unknown keys anywhere in the document are collected and rejected in a
-    single error so every typo surfaces at once.
-    """
-    sections = {"model": _MODEL_DEFAULTS, "train": _TRAIN_DEFAULTS,
-                "data": _DATA_DEFAULTS}
+    corpora: list = dataclasses.field(default_factory=list)  # [{"src": path, "tgt": path}, ...]
+    val: list = dataclasses.field(default_factory=list)  # as corpora, plus an optional "lang"
+    vocab: str | None = None  # path to an existing vocabulary file, else built
+    translit: str | None = None  # the sources' latinization table
+    min_count: int = 1
+
+    def __post_init__(self):
+        check_field_types(self)
+        for listname in _ENTRY_KEYS:
+            for i, entry in enumerate(getattr(self, listname)):
+                for key, value in entry.items():
+                    if not isinstance(value, str):
+                        raise ValueError(f"data.{listname}[{i}].{key} must be a string, "
+                                         f"got {value!r}")
+
+
+def resolve_run_config(doc: dict) -> dict:
+    """Merge a run-config document over the documented defaults; unknown keys
+    anywhere in it are rejected in one error, so every typo surfaces at once."""
+    sections = {"model": {f.name: f.default for f in dataclasses.fields(ModelConfig)
+                          if f.name != "vocab_size"},
+                "train": dataclasses.asdict(TrainConfig()),
+                "data": dataclasses.asdict(DataConfig())}
     if not isinstance(doc, dict):
         raise ValueError("config root must be a JSON object")
-    for name in doc:
-        if name in sections and not isinstance(doc[name], dict):
-            raise ValueError(f"config section '{name}' must be an object")
     offenders = [name for name in doc if name not in sections]
     resolved = {}
     for name, defaults in sections.items():
         given = doc.get(name, {})
+        if not isinstance(given, dict):
+            raise ValueError(f"config section '{name}' must be an object")
         offenders += [f"{name}.{key}" for key in given if key not in defaults]
         resolved[name] = {**defaults, **{k: v for k, v in given.items() if k in defaults}}
     for listname, keys in _ENTRY_KEYS.items():
@@ -83,50 +94,26 @@ def resolve_run_config(doc: dict) -> dict:
             offenders += [f"data.{listname}[{i}].{key}" for key in entry if key not in keys]
     if offenders:
         raise ValueError("unknown config keys: " + ", ".join(sorted(offenders)))
-    _check_data_types(resolved["data"])
+    DataConfig(**resolved["data"])  # rejects the first data value of the wrong type
     return resolved
 
 
-def _check_data_types(data: dict) -> None:
-    """Reject the first ``data`` value of the wrong type, naming its key:
-    ``min_count`` is an integer (not a bool), ``vocab`` and ``translit`` a
-    path or null, and every corpus or validation entry value a string."""
-    count = data["min_count"]
-    if isinstance(count, bool) or not isinstance(count, int):
-        raise ValueError(f"min_count must be an integer, got {count!r}")
-    for key in ("vocab", "translit"):
-        if not isinstance(data[key], (str, type(None))):
-            raise ValueError(f"{key} must be a string or null, got {data[key]!r}")
-    for listname in _ENTRY_KEYS:
-        for i, entry in enumerate(data[listname]):
-            for key, value in entry.items():
-                if not isinstance(value, str):
-                    raise ValueError(f"data.{listname}[{i}].{key} must be a string, "
-                                     f"got {value!r}")
+def _latinizer(table_path) -> Callable[[str], str]:
+    """How every command prepares a source line: through the ``--translit`` or
+    ``data.translit`` table, loaded once, or as it is; inference sees what training saw."""
+    table = TransliterationTable.from_tsv(table_path) if table_path else None
+    return lambda line: line if table is None else transliterate(line, table)
 
 
-def _load_table(path) -> TransliterationTable | None:
-    return TransliterationTable.from_tsv(path) if path else None
-
-
-def _transliterated(lines: list[str], table_path) -> list[str]:
-    """Source lines through the ``--translit`` table, as training's sources were."""
-    table = _load_table(table_path)
-    return lines if table is None else [transliterate(line, table) for line in lines]
-
-
-def _load_entry(entry: dict, table: TransliterationTable | None) -> ParallelCorpus:
-    corpus = load_parallel(entry["src"], entry["tgt"])
-    if table is not None:
-        corpus.pairs = [(transliterate(src, table), tgt) for src, tgt in corpus.pairs]
-    return corpus
+def _load_corpus(src_path, tgt_path, latinize) -> ParallelCorpus:
+    pairs = load_parallel(src_path, tgt_path).pairs
+    return ParallelCorpus([(latinize(src), tgt) for src, tgt in pairs])
 
 
 def _check_fits(pairs: list[tuple[str, str]], src_path, tgt_path, limit: int,
                 what: str) -> None:
-    """Reject the first pair that needs more than ``limit`` tokens (see
-    ``data.overlong_pair``), naming the file of its longer side and its
-    1-based line."""
+    """Reject the first pair that needs more than ``limit`` tokens (``overlong_pair``),
+    naming the file of its longer side and its 1-based line."""
     overlong = overlong_pair(pairs, limit)
     if overlong is not None:
         i, need = overlong
@@ -135,21 +122,25 @@ def _check_fits(pairs: list[tuple[str, str]], src_path, tgt_path, limit: int,
         raise ValueError(f"{path}: line {i} needs {need} tokens, over {what}")
 
 
-def _note_unknown(texts: list[str], vocab: Vocabulary, ckpt_path) -> None:
-    """One stderr note counting the characters of ``texts`` outside the
-    vocabulary of the checkpoint at ``ckpt_path``, which encode as UNK."""
-    unknown = sum(1 for text in texts for ch in text if vocab.id_for(ch) == UNK_ID)
+def _load_checked(ckpt_path, pairs, src_path, tgt_path) -> CheckpointBundle:
+    """Load a checkpoint for translate or analyze and check input pairs against it: one
+    stderr note counting characters outside its vocabulary (encoded as UNK), then the fit."""
+    bundle = checkpoint_load(ckpt_path)
+    unknown = sum(1 for pair in pairs for text in pair for ch in text
+                  if bundle.vocab.id_for(ch) == UNK_ID)
     if unknown:
         print(f"note: {unknown} characters outside the vocabulary of {ckpt_path} "
               f"were encoded as UNK", file=sys.stderr)
+    limit = bundle.config.max_len
+    _check_fits(pairs, src_path, tgt_path, limit, f"the max_len {limit} of {ckpt_path}")
+    return bundle
 
 
 def cmd_build_vocab(args) -> None:
     if len(args.src) != len(args.tgt):
         raise ValueError(f"{len(args.src)} source files vs {len(args.tgt)} target files")
-    table = _load_table(args.translit)
-    corpora = [_load_entry({"src": s, "tgt": t}, table)
-               for s, t in zip(args.src, args.tgt)]
+    latinize = _latinizer(args.translit)
+    corpora = [_load_corpus(s, t, latinize) for s, t in zip(args.src, args.tgt)]
     vocab = build_vocab(corpora, args.min_count)
     vocab.save(args.out)
     print(f"vocab size {vocab.size}")
@@ -157,7 +148,11 @@ def cmd_build_vocab(args) -> None:
 
 def cmd_train(args) -> None:
     """Check every input, then write the run directory and train."""
-    cfg = resolve_run_config(json.loads(Path(args.config).read_text(encoding="utf-8")))
+    try:
+        doc = json.loads(read_text(args.config))
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise ValueError(f"{args.config}: not readable as JSON ({e})") from None
+    cfg = resolve_run_config(doc)
     train_cfg = TrainConfig(**cfg["train"])
     data = cfg["data"]
     val_names = [e.get("lang") or f"val{i}" for i, e in enumerate(data["val"])]
@@ -165,11 +160,11 @@ def cmd_train(args) -> None:
         if val_names.index(name) != i:
             raise ValueError(f"data.val[{val_names.index(name)}] and data.val[{i}] "
                              f"both name the validation set '{name}'")
-    table = _load_table(data["translit"])
-    corpora = [_load_entry(e, table) for e in data["corpora"]]
+    latinize = _latinizer(data["translit"])
+    corpora = [_load_corpus(e["src"], e["tgt"], latinize) for e in data["corpora"]]
     if not corpora:
         raise ValueError("data.corpora is empty; nothing to train on")
-    vals = [_load_entry(e, table) for e in data["val"]]
+    vals = [_load_corpus(e["src"], e["tgt"], latinize) for e in data["val"]]
     vocab = (Vocabulary.load(data["vocab"]) if data["vocab"]
              else build_vocab(corpora, data["min_count"]))
     model_cfg = ModelConfig(vocab_size=vocab.size, **cfg["model"])
@@ -194,11 +189,8 @@ def cmd_train(args) -> None:
 
 def cmd_translate(args) -> None:
     dcfg = DecodeConfig(beam_size=args.beam)
-    bundle = checkpoint_load(args.ckpt)
-    lines = _transliterated(read_lines(args.infile), args.translit)
-    _note_unknown(lines, bundle.vocab, args.ckpt)
-    _check_fits([(line, "") for line in lines], args.infile, None, bundle.config.max_len,
-                f"the model's max_len {bundle.config.max_len}")
+    lines = list(map(_latinizer(args.translit), read_lines(args.infile)))
+    bundle = _load_checked(args.ckpt, [(line, "") for line in lines], args.infile, None)
     if dcfg.beam_size >= 2:
         hyps = [beam_decode(bundle.params, bundle.config, line, bundle.vocab, dcfg)
                 for line in lines]
@@ -214,34 +206,23 @@ def cmd_translate(args) -> None:
             dump_matrix(matrix, dump_dir / f"line{i}.txt")
 
 
-def _read_paired(path_a, path_b) -> tuple[list[str], list[str]]:
-    """Read two files that pair line for line; a count mismatch names both."""
-    a, b = read_lines(path_a), read_lines(path_b)
-    if len(a) != len(b):
-        raise ValueError(f"{path_a} has {len(a)} lines but {path_b} has {len(b)}")
-    return a, b
-
-
 def cmd_score(args) -> None:
-    hyps, refs = _read_paired(args.hyp, args.ref)
+    hyps, refs = read_paired(args.hyp, args.ref)
     score = corpus_bleu(hyps, refs, tokenizer=args.tokenizer, smooth=args.smooth)
     print(f"BLEU {score:.2f}")
 
 
 def cmd_analyze(args) -> None:
-    stems = [Path(path).stem for path in (args.ckpt_a, args.ckpt_b)]
+    ckpts = (args.ckpt_a, args.ckpt_b)
+    stems = [Path(path).stem for path in ckpts]
     if args.dump_attn and stems[0] == stems[1]:
         raise ValueError(f"--dump-attn writes each model's maps under its checkpoint's "
                          f"stem, but {args.ckpt_a} and {args.ckpt_b} share the stem "
                          f"'{stems[0]}'")
-    srcs, refs = _read_paired(args.src, args.ref)
-    pairs = list(zip(_transliterated(srcs, args.translit), refs))
-    bundles = [(path, checkpoint_load(path)) for path in (args.ckpt_a, args.ckpt_b)]
-    for path, bundle in bundles:
-        _note_unknown([text for pair in pairs for text in pair], bundle.vocab, path)
-        _check_fits(pairs, args.src, args.ref, bundle.config.max_len,
-                    f"the max_len {bundle.config.max_len} of {path}")
-    ids, maps = collect_alignments([(b.params, b.config, b.vocab) for _, b in bundles],
+    srcs, refs = read_paired(args.src, args.ref)
+    pairs = list(zip(map(_latinizer(args.translit), srcs), refs))
+    bundles = [_load_checked(path, pairs, args.src, args.ref) for path in ckpts]
+    ids, maps = collect_alignments([(b.params, b.config, b.vocab) for b in bundles],
                                    pairs, n=args.n, seed=args.seed)
     report = alignment_report(*maps, grid=(args.grid, args.grid), k=args.k, reg=args.reg)
     write_lines(args.out, ["model_a,model_b,test_lang,n,grid,k,rho_mean",
@@ -268,8 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--tgt", nargs="+", required=True)
     pv.add_argument("--out", required=True)
     pv.add_argument("--translit", default=None, help="TSV latinization table for sources")
-    pv.add_argument("--min-count", type=int, default=_DATA_DEFAULTS["min_count"],
-                    dest="min_count")
+    pv.add_argument("--min-count", type=int, default=DataConfig.min_count)
     pv.set_defaults(func=cmd_build_vocab)
 
     pt = sub.add_parser("train", help="train a model from a JSON run config")
@@ -284,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     px.add_argument("--beam", type=int, default=DecodeConfig.beam_size,
                     help="beam size; 1 means greedy")
     px.add_argument("--translit", default=None)
-    px.add_argument("--dump-attn", default=None, dest="dump_attn")
+    px.add_argument("--dump-attn", default=None)
     px.set_defaults(func=cmd_translate)
 
     ps = sub.add_parser("score", help="corpus BLEU of a hypothesis file")
@@ -295,8 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_score)
 
     pa = sub.add_parser("analyze", help="CCA between two models' attention alignments")
-    pa.add_argument("--ckpt-a", required=True, dest="ckpt_a")
-    pa.add_argument("--ckpt-b", required=True, dest="ckpt_b")
+    pa.add_argument("--ckpt-a", required=True)
+    pa.add_argument("--ckpt-b", required=True)
     pa.add_argument("--src", required=True)
     pa.add_argument("--ref", required=True)
     pa.add_argument("--n", type=int, default=500)
@@ -307,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--lang", default="")
     pa.add_argument("--translit", default=None, help="TSV latinization table for --src")
     pa.add_argument("--out", required=True)
-    pa.add_argument("--dump-attn", default=None, dest="dump_attn")
+    pa.add_argument("--dump-attn", default=None)
     pa.set_defaults(func=cmd_analyze)
     return p
 

@@ -5,8 +5,8 @@ every language in play, reserved ids 0..3 are PAD/BOS/EOS/UNK, and
 non-latin scripts can be folded into the latin range up front with a
 per-character transliteration table. Corpora from several languages are
 mixed into a single training stream with no language identifiers; the mix
-is a plain concatenate-and-shuffle. Every line-oriented text file in the
-package is read by ``read_lines`` and written by ``write_lines``.
+is a plain concatenate-and-shuffle. Text files are read by ``read_text``, line-oriented
+ones by ``read_lines`` (``read_paired`` for two that pair) and written by ``write_lines``.
 """
 
 from __future__ import annotations
@@ -22,20 +22,23 @@ PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 N_RESERVED = 4
 
 
-def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, NFC-normalized: the one reader of
-    every line-oriented input, so inference sees text as training does.
-
-    A byte-order mark, a CR (named with its 1-based line) and undecodable
-    bytes are errors naming the file. The final newline is dropped.
-    """
+def read_text(path) -> str:
+    """The text of a UTF-8 file, as stored: a byte-order mark and undecodable
+    bytes are errors naming the file."""
     raw = Path(path).read_bytes()
     if raw.startswith(b"\xef\xbb\xbf"):
         raise ValueError(f"{path}: byte-order mark not allowed")
     try:
-        text = raw.decode("utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ValueError(f"{path}: not UTF-8 ({e.reason} at byte {e.start})") from None
+
+
+def read_lines(path) -> list[str]:
+    """The NFC-normalized lines of a UTF-8 text file, final newline dropped: the one reader
+    of every line-oriented input, so inference sees text as training does. Besides
+    ``read_text``'s errors, a CR is an error naming the file and its 1-based line."""
+    text = read_text(path)
     if "\r" in text:
         line = text.count("\n", 0, text.index("\r")) + 1
         raise ValueError(f"{path}: line {line} holds a CR; expected LF line endings")
@@ -62,13 +65,7 @@ class Vocabulary:
     _char_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        for c in self.chars:
-            if len(c) != 1:
-                raise ValueError(f"vocabulary entries must be single characters, got {c!r}")
-            if c in seen:
-                raise ValueError(f"duplicate vocabulary character {c!r}")
-            seen.add(c)
+        _check_vocab_entries(self.chars)
         self._char_to_id = {c: i + N_RESERVED for i, c in enumerate(self.chars)}
 
     @property
@@ -84,7 +81,22 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        return cls(chars=tuple(read_lines(path)))
+        """Read ``save``'s file; a bad entry is an error naming the file and its line."""
+        chars = tuple(read_lines(path))
+        _check_vocab_entries(chars, lambda i: f"{path}: line {i + 1}: ")
+        return cls(chars=chars)
+
+
+def _check_vocab_entries(chars, where=lambda i: "") -> None:
+    """Reject the first entry that is not one character (an empty line included) or
+    repeats an earlier one; ``where`` of its 0-based position leads the error."""
+    seen = set()
+    for i, c in enumerate(chars):
+        if len(c) != 1:
+            raise ValueError(f"{where(i)}vocabulary entries must be single characters, got {c!r}")
+        if c in seen:
+            raise ValueError(f"{where(i)}duplicate vocabulary character {c!r}")
+        seen.add(c)
 
 
 def build_vocab(corpora: list["ParallelCorpus"], min_count: int) -> Vocabulary:
@@ -182,18 +194,24 @@ class ParallelCorpus:
         return len(self.pairs)
 
 
+def read_paired(path_a, path_b) -> tuple[list[str], list[str]]:
+    """The lines of two files that pair line for line, through ``read_lines``:
+    the one statement of the pairing rule, whose count mismatch names both."""
+    a, b = read_lines(path_a), read_lines(path_b)
+    if len(a) != len(b):
+        raise ValueError(f"{path_a} has {len(a)} lines but {path_b} has {len(b)}")
+    return a, b
+
+
 def load_parallel(src_path, tgt_path) -> ParallelCorpus:
-    """Load two aligned one-sentence-per-line files through ``read_lines``;
-    empty files, empty lines and unequal line counts are rejected as well."""
-    src_lines, tgt_lines = read_lines(src_path), read_lines(tgt_path)
+    """Load two aligned one-sentence-per-line files through ``read_paired``;
+    empty files and empty lines are rejected as well."""
+    src_lines, tgt_lines = read_paired(src_path, tgt_path)
     for path, lines in ((src_path, src_lines), (tgt_path, tgt_lines)):
         if not lines:
             raise ValueError(f"{path}: no lines")
         if "" in lines:
             raise ValueError(f"{path}:{lines.index('') + 1}: empty line")
-    if len(src_lines) != len(tgt_lines):
-        raise ValueError(f"{src_path} has {len(src_lines)} lines but "
-                         f"{tgt_path} has {len(tgt_lines)}")
     return ParallelCorpus(pairs=list(zip(src_lines, tgt_lines)))
 
 

@@ -47,7 +47,7 @@ FUSE_WINDOW = 3  # the convolution that fuses them
 
 # what a config field declared with each scalar type accepts, and its name in errors
 _FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
-                "str": (str, "a string")}
+                "str": (str, "a string"), "str | None": ((str, type(None)), "a string or null")}
 
 
 def check_field_types(config) -> None:

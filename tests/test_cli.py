@@ -318,11 +318,18 @@ def test_train_negative_seed_fails_before_writing_anything(corpus_files, tmp_pat
     assert not out.exists()
 
 
+BAD_VOCAB_FILES = {  # case: (vocab.txt text, its 1-based line at fault, the fault)
+    "vocab_duplicate": ("a\nb\na\n", 3, "duplicate vocabulary character 'a'"),
+    "vocab_two_chars": ("a\nbc\n", 2, "vocabulary entries must be single characters, got 'bc'"),
+    "vocab_empty_line": ("a\n\nb\n", 2, "vocabulary entries must be single characters, got ''"),
+}
+
+
 @pytest.mark.invariant
 @pytest.mark.parametrize("case", ["bad_model", "overlong_line", "duplicate_val",
                                   "missing_corpus", "min_count_str", "min_count_bool",
                                   "vocab_int", "translit_int", "corpus_src_int",
-                                  "val_lang_int"])
+                                  "val_lang_int", "corpus_count_mismatch", *BAD_VOCAB_FILES])
 def test_train_bad_input_writes_nothing(corpus_files, tmp_path, capsys, case):
     """Every input is checked before the run directory is made."""
     src, tgt = corpus_files
@@ -351,6 +358,17 @@ def test_train_bad_input_writes_nothing(corpus_files, tmp_path, capsys, case):
     elif case == "val_lang_int":
         cfg["data"]["val"] = [{"src": str(src), "tgt": str(tgt), "lang": 3}]
         want = "data.val[0].lang must be a string, got 3"
+    elif case == "corpus_count_mismatch":
+        short = tmp_path / "short.tgt"
+        short.write_text("\n".join(TGT_LINES[:-1]) + "\n")
+        cfg["data"]["corpora"][0]["tgt"] = str(short)
+        want = f"{src} has {len(SRC_LINES)} lines but {short} has {len(SRC_LINES) - 1}"
+    elif case in BAD_VOCAB_FILES:
+        text, line, fault = BAD_VOCAB_FILES[case]
+        vocab = tmp_path / "given_vocab.txt"
+        vocab.write_text(text)
+        cfg["data"]["vocab"] = str(vocab)
+        want = f"{vocab}: line {line}: {fault}"
     else:
         missing = tmp_path / "missing.src"
         cfg["data"]["corpora"][0]["src"] = str(missing)
@@ -359,6 +377,21 @@ def test_train_bad_input_writes_nothing(corpus_files, tmp_path, capsys, case):
     code = main(["train", "--config", str(_write_config(tmp_path, cfg)), "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err == f"error: {want}\n"
+    assert not out.exists()
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("raw, fault", [
+    (b'{"train": {"epochs": 1,}}', "not readable as JSON (Expecting property name enclosed "
+                                   "in double quotes: line 1 column 24 (char 23))"),
+    (b"[" * 100_000 + b"]" * 100_000, "not readable as JSON (maximum recursion depth"),
+    (b'\xef\xbb\xbf{"train": {"epochs": 1}}', "byte-order mark not allowed"),
+], ids=["syntax", "deep", "bom"])
+def test_train_unreadable_config_names_it_and_writes_nothing(tmp_path, capsys, raw, fault):
+    config, out = tmp_path / "run.json", tmp_path / "run"
+    config.write_bytes(raw)
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {config}: {fault}")
     assert not out.exists()
 
 
@@ -540,7 +573,8 @@ def test_translate_overlong_line_names_it(tmp_path, capsys, beam):
     code = main(["translate", "--ckpt", str(ckpt), "--in", str(infile),
                  "--out", str(tmp_path / "out.txt"), "--beam", beam])
     assert code == 1
-    assert "line 2" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"error: {infile}: line 2 needs {config.max_len + 1} "
+                                       f"tokens, over the max_len {config.max_len} of {ckpt}\n")
 
 
 def test_translate_notes_unknown_characters(tmp_path, capsys):
@@ -808,7 +842,8 @@ def test_analyze_overlong_line_names_file_and_line(tmp_path, capsys):
                  "--src", str(src), "--ref", str(ref), "--grid", "8", "--k", "2",
                  "--out", str(tmp_path / "o.csv")])
     assert code == 1
-    assert f"{src}: line 6 needs {config.max_len + 1} tokens" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"error: {src}: line 6 needs {config.max_len + 1} "
+                                       f"tokens, over the max_len {config.max_len} of {ckpt}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
 """Vocabulary, transliteration, corpus loading, mixing, and batching."""
 
+import ast
 import unicodedata
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import charnmt
 from charnmt.data import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, ParallelCorpus,
                           TransliterationTable, Vocabulary, batch_from_rows,
                           build_vocab, decode, encode, encode_pair,
                           load_parallel, make_batches, mix_corpora,
-                          read_lines, transliterate, write_lines)
+                          read_lines, read_paired, read_text, transliterate,
+                          write_lines)
 
 from conftest import rand_rng
 
@@ -80,6 +84,20 @@ def test_vocab_save_load_round_trip(tmp_path):
     assert encode("axbycz", loaded) == encode("axbycz", vocab)
 
 
+@pytest.mark.invariant
+@pytest.mark.parametrize("text, line, fault", [
+    ("a\nb\na\n", 3, "duplicate vocabulary character 'a'"),
+    ("a\nbc\n", 2, "vocabulary entries must be single characters, got 'bc'"),
+    ("a\n\nb\n", 2, "vocabulary entries must be single characters, got ''"),
+], ids=["duplicate", "two-chars", "empty-line"])
+def test_vocab_load_names_the_file_and_line(tmp_path, text, line, fault):
+    path = tmp_path / "vocab.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        Vocabulary.load(path)
+    assert str(err.value) == f"{path}: line {line}: {fault}"
+
+
 # ---------------------------------------------------------------------------
 # transliteration
 # ---------------------------------------------------------------------------
@@ -135,6 +153,40 @@ def test_read_lines_rejects_naming_the_file(tmp_path, raw, message):
 
 
 @pytest.mark.invariant
+def test_read_text_shares_the_bom_and_utf8_rule_and_keeps_the_text(tmp_path):
+    """``read_text`` (the run config's reader) keeps CRs and does not normalize."""
+    path = tmp_path / "run.json"
+    text = unicodedata.normalize("NFD", '{"vocab": "é.txt"}\r\n')
+    path.write_text(text, encoding="utf-8", newline="")
+    assert read_text(path) == text
+    for raw, message in ((b"\xef\xbb\xbf{}", "byte-order mark not allowed"),
+                         (b"{\xff}", "not UTF-8")):
+        path.write_bytes(raw)
+        with pytest.raises(ValueError) as err:
+            read_text(path)
+        assert str(err.value).startswith(f"{path}: {message}")
+
+
+@pytest.mark.invariant
+def test_only_data_and_training_read_files():
+    """Every outside input enters through ``data`` (text files) or ``training``
+    (binary checkpoints), so no other module opens or reads a file itself."""
+    readers = set()
+    for path in sorted(Path(charnmt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            if (isinstance(fn, ast.Name) and fn.id == "open"
+                    or isinstance(fn, ast.Attribute) and fn.attr in ("open", "read_text",
+                                                                     "read_bytes")
+                    or isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name)
+                    and fn.value.id in ("np", "numpy") and fn.attr.startswith("load")):
+                readers.add(path.name)
+    assert readers - {"data.py", "training.py"} == set()
+
+
+@pytest.mark.invariant
 def test_read_lines_keeps_empty_lines_and_normalizes_nfc(tmp_path):
     path = tmp_path / "in.txt"
     path.write_text(unicodedata.normalize("NFD", "é\n\nb"), encoding="utf-8")
@@ -162,10 +214,15 @@ def test_load_parallel_pairs_lines(tmp_path):
 
 
 def test_load_parallel_rejects_count_mismatch(tmp_path):
-    (tmp_path / "s.txt").write_text("one\ntwo\n", encoding="utf-8")
-    (tmp_path / "t.txt").write_text("uno\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_parallel(tmp_path / "s.txt", tmp_path / "t.txt")
+    """The one pairing rule, ``read_paired``'s, comes before the empty-file rule."""
+    src, tgt = tmp_path / "s.txt", tmp_path / "t.txt"
+    src.write_text("one\ntwo\n", encoding="utf-8")
+    for tgt_text, tgt_count in (("uno\n", 1), ("", 0)):
+        tgt.write_text(tgt_text, encoding="utf-8")
+        for read in (load_parallel, read_paired):
+            with pytest.raises(ValueError) as err:
+                read(src, tgt)
+            assert str(err.value) == f"{src} has 2 lines but {tgt} has {tgt_count}"
 
 
 @pytest.mark.invariant
