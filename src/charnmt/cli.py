@@ -148,8 +148,14 @@ def cmd_build_vocab(args) -> None:
 
 def cmd_train(args) -> None:
     """Check every input, then write the run directory and train."""
+    def unique_keys(pairs: list) -> dict:  # plain json.loads keeps the last of two equal keys
+        for i, (key, _) in enumerate(pairs):
+            if any(key == k for k, _ in pairs[:i]):
+                raise ValueError(f"{args.config}: key '{key}' appears twice in one object")
+        return dict(pairs)
+
     try:
-        doc = json.loads(read_text(args.config))
+        doc = json.loads(read_text(args.config), object_pairs_hook=unique_keys)
     except (json.JSONDecodeError, RecursionError) as e:
         raise ValueError(f"{args.config}: not readable as JSON ({e})") from None
     cfg = resolve_run_config(doc)

@@ -9,11 +9,13 @@ convolution, embedding lookup, dropout, concatenation, and reductions.
 (Batched) ``matmul`` is no model's op: it stays as the reference that
 ``linear`` must equal bit for bit, and for the benchmark's tracer.
 
-Gradients: the first gradient that reaches an intermediate tensor is
-copied into a fresh array laid out like its data, and later ones are added
-with ``+=``. A parameter's gradient is a view into its ParameterSet's
-arena, so every gradient is added to it; call ``ParameterSet.zero_grad``
-between optimizer steps.
+Gradients: ``Tensor.backward`` seeds its root with 1 and frees each
+intermediate gradient once its rule has run, so only leaves keep one. An
+intermediate's first gradient is adopted when its rule made that array for
+it alone (see ``TapeNode``), else copied into an array laid out like its
+data; later ones are added with ``+=``. A parameter's gradient is a view
+into its ParameterSet's arena, so every gradient is added to it; call
+``ParameterSet.zero_grad`` between optimizer steps.
 
 Finite checks: an op checks its output while a tape is recorded or inside
 a checked re-run; a ``rerun_checked`` function runs untaped and checks its
@@ -256,7 +258,10 @@ class TapeNode:
     the output's gradient to one gradient per input: an array, or a
     zero-argument callable that returns one, which ``Tensor.backward`` calls
     only for an input that requires a gradient, off the critical path if
-    that input is a leaf.
+    that input is a leaf. A rule may hand back the output's gradient (or a
+    view of it) but must not write to it, and must not keep, or return
+    twice, an array it made: an intermediate input adopts such an array as
+    its gradient, and adds to it in place.
     """
 
     op: str
@@ -315,16 +320,18 @@ class Tensor:
         return mul(self, _as_tensor(other))
 
     def backward(self) -> None:
-        """Populate ``grad`` on every requires_grad tensor reachable from here.
+        """Add to ``grad`` of every requires_grad leaf reachable from here
+        (a tensor with no node: in the models, a parameter).
 
-        Only valid on scalar (single-element) tensors. Gradients accumulate
-        across calls until ``ParameterSet.zero_grad``. The calling thread
-        walks the tape and accumulates the gradients of intermediate
-        tensors; every leaf's gradient (a tensor with no node: in the models,
-        a parameter) is computed and accumulated by the ``_Jobs`` helper, in
-        tape order, so each sum runs in the same order on one thread or two.
-        No leaf job still runs when this returns or raises; a leaf job's
-        error is raised here, after every job has stopped.
+        Only valid on scalar (single-element) tensors. Each call seeds this
+        tensor with 1 and frees the gradient of every tensor with a node
+        once its rule has run, so two calls on one graph give each leaf
+        twice its gradient. The calling thread walks the tape and sums the
+        gradients of intermediate tensors (see ``_accumulate``); every
+        leaf's gradient is computed and accumulated by the ``_Jobs`` helper,
+        in tape order, so each sum runs in the same order on one thread or
+        two. No leaf job still runs when this returns or raises; a leaf
+        job's error is raised here, after every job has stopped.
         """
         if self.size != 1:
             raise ShapeError(f"backward on non-scalar tensor of shape {self.shape}")
@@ -357,21 +364,31 @@ class Tensor:
                     if parent.node is None:
                         leaves.submit(partial(parent._accumulate, g))
                     else:
-                        parent._accumulate(g)
+                        g = g() if callable(g) else g
+                        parent._accumulate(g, g is not t._grad and sum(h is g for h in grads) < 2)
+                t._grad = None
         finally:
             leaves.wait()
+            for t in topo:  # after an error too, so a later call starts clean
+                t._grad = None
 
-    def _accumulate(self, g) -> None:
-        """Add ``g``, an array or a callable returning one, to ``grad``."""
+    def _accumulate(self, g, private: bool = False) -> None:
+        """Add ``g``, an array or a callable returning one, to ``grad``; a
+        first ``g`` that is ``private`` (not the output's own gradient, and
+        handed to this tensor alone), owns its memory and is laid out like
+        the data becomes ``grad``."""
         if callable(g):
             g = g()
-        if self._grad is None:
+        if self._grad is not None:
+            self._grad += g
+        elif private and type(g) is np.ndarray and g.flags.owndata and \
+                g.shape == self.shape and g.strides == self.data.strides:
+            self._grad = g
+        else:
             # laid out like the data: kept in ``g``'s strides, later products
             # would round differently
             self._grad = np.empty_like(self.data)
             np.copyto(self._grad, g)
-        else:
-            self._grad += g
 
 
 def _as_tensor(x) -> Tensor:
@@ -391,14 +408,15 @@ def _make(op: str, out: np.ndarray, inputs: tuple[Tensor, ...],
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to ``shape``."""
+    """Sum a broadcast gradient back down to ``shape``; an array already of
+    that shape comes back as itself, not as a view."""
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+    return grad if type(grad) is np.ndarray else np.asarray(grad)  # a full sum is a scalar
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +426,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
-    def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+    def backward(g):  # deferred: a constant's is never computed, a parameter's runs on the helper
+        return partial(_unbroadcast, g, a.shape), partial(_unbroadcast, g, b.shape)
 
     return _make("add", out, (a, b), backward)
 
@@ -419,7 +437,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def backward(g):
-        return _unbroadcast(g * b_data, a.shape), _unbroadcast(g * a_data, b.shape)
+        return (lambda: _unbroadcast(g * b_data, a.shape),
+                lambda: _unbroadcast(g * a_data, b.shape))
 
     return _make("mul", out, (a, b), backward)
 
@@ -471,7 +490,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("linear requires x of rank >= 2 and a 2-D weight")
     if x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear extents differ: {x.shape} x {w.shape} + {b.shape}")
-    out = np.matmul(x.data, w.data) + b.data
+    out = np.matmul(x.data, w.data)
+    out += b.data
     x_data, w_data = x.data, w.data
 
     def backward(g):
@@ -511,7 +531,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     qh = q.data.reshape(b, tq, n_heads, dk).transpose(0, 2, 1, 3)
     kt = k.data.reshape(b, tk, n_heads, dk).transpose(0, 2, 3, 1)
     vh = v.data.reshape(b, tk, n_heads, dk).transpose(0, 2, 1, 3)
-    z = np.matmul(qh, kt) * scale
+    z = np.matmul(qh, kt)
+    z *= scale
     if mask is not None:
         # The mask must broadcast to the logits without enlarging them, and
         # keep some key of every slice. It is checked, and turned into its
@@ -525,32 +546,43 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                              f"the logits' {z.shape}")
         if not mask.any(axis=-1).all():
             raise MaskError("attention slice with all keys masked")
-        z = z + np.where(mask, 0.0, MASK_NEG)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
+        z += np.where(mask, 0.0, MASK_NEG)
+    # softmax in place: the logits become the map
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    y = z
     ctx = np.matmul(y, vh).transpose(0, 2, 1, 3).reshape(b, tq, d)
+
+    def merged(heads):  # [B, t, h, dk] view -> [B, t, d] array that owns its memory
+        out = np.empty(heads.shape[:2] + (d,))
+        out.reshape(heads.shape)[...] = heads
+        return out
 
     def backward(g):
         gctx = np.ascontiguousarray(g.reshape(b, tq, n_heads, dk).transpose(0, 2, 1, 3))
-        gy = np.matmul(gctx, np.swapaxes(vh, -1, -2))
-        gz = y * (gy - (gy * y).sum(axis=-1, keepdims=True)) * scale
+        gz = np.matmul(gctx, np.swapaxes(vh, -1, -2))  # the map's gradient, then the logits'
+        gz -= (gz * y).sum(axis=-1, keepdims=True)
+        gz *= y
+        gz *= scale
         gq = np.matmul(gz, np.swapaxes(kt, -1, -2))
         gkt = np.matmul(np.swapaxes(qh, -1, -2), gz)
         gv = np.matmul(np.swapaxes(y, -1, -2), gctx)
-        return (gq.transpose(0, 2, 1, 3).reshape(b, tq, d),
-                gkt.transpose(0, 3, 1, 2).reshape(b, tk, d),
-                gv.transpose(0, 2, 1, 3).reshape(b, tk, d))
+        return (merged(gq.transpose(0, 2, 1, 3)), merged(gkt.transpose(0, 3, 1, 2)),
+                merged(gv.transpose(0, 2, 1, 3)))
 
     return _make("attention", ctx, (q, k, v), backward), Tensor(y)
 
 
 def log_softmax_lastdim(x: Tensor) -> Tensor:
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    logp = x.data - x.data.max(axis=-1, keepdims=True)
     p = np.exp(logp)
+    logp -= np.log(p.sum(axis=-1, keepdims=True))
+    np.exp(logp, out=p)
 
     def backward(g):
-        return (g - p * g.sum(axis=-1, keepdims=True),)
+        dx = p * g.sum(axis=-1, keepdims=True)
+        return (np.subtract(g, dx, out=dx),)
 
     return _make("log_softmax_lastdim", logp, (x,), backward)
 
@@ -568,18 +600,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     d = x.shape[-1]
     # sum / d is mean's own reduction and division, without its wrapper
     mu = x.data.sum(axis=-1, keepdims=True) / d
-    xc = x.data - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    xhat = x.data - mu  # centred here, scaled below
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
     gain_data = gain.data
 
     def backward(g):
-        dxhat = g * gain_data
-        term = dxhat - dxhat.sum(axis=-1, keepdims=True) / d \
-            - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
-        dx = inv * term
+        # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in place
+        dx = g * gain_data
+        tmp = dx * xhat
+        proj = tmp.sum(axis=-1, keepdims=True) / d
+        dx -= dx.sum(axis=-1, keepdims=True) / d
+        dx -= np.multiply(xhat, proj, out=tmp)
+        dx *= inv
         axes = tuple(range(g.ndim - 1))
         return dx, lambda: (g * xhat).sum(axis=axes), lambda: g.sum(axis=axes)
 

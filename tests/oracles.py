@@ -75,6 +75,84 @@ def brute_layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# taped ops as plain expressions: each takes the op's inputs and the gradient
+# ``g`` of its output, and returns the output and every input's gradient,
+# written as the ops wrote them before they computed in place. The ops must
+# equal these bit for bit, signed zeros included.
+# ---------------------------------------------------------------------------
+
+def _sum_to(grad, shape):
+    """A broadcast gradient summed back down to ``shape``."""
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+def expr_add(a, b, g):
+    return a + b, _sum_to(g, a.shape), _sum_to(g, b.shape)
+
+
+def expr_mul(a, b, g):
+    return a * b, _sum_to(g * b, a.shape), _sum_to(g * a, b.shape)
+
+
+def expr_linear(x, w, b, g):
+    return (np.matmul(x, w) + b, _sum_to(np.matmul(g, np.swapaxes(w, -1, -2)), x.shape),
+            _sum_to(np.matmul(np.swapaxes(x, -1, -2), g), w.shape), _sum_to(g, b.shape))
+
+
+def expr_attention(q, k, v, n_heads, mask, g):
+    """Returns the context, the map, and the q, k and v gradients."""
+    b, tq, d = q.shape
+    tk = k.shape[1]
+    dk = d // n_heads
+    scale = 1.0 / math.sqrt(dk)
+    qh = q.reshape(b, tq, n_heads, dk).transpose(0, 2, 1, 3)
+    kt = k.reshape(b, tk, n_heads, dk).transpose(0, 2, 3, 1)
+    vh = v.reshape(b, tk, n_heads, dk).transpose(0, 2, 1, 3)
+    z = np.matmul(qh, kt) * scale
+    if mask is not None:
+        z = z + np.where(mask, 0.0, -1e9)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    ctx = np.matmul(y, vh).transpose(0, 2, 1, 3).reshape(b, tq, d)
+    gctx = np.ascontiguousarray(g.reshape(b, tq, n_heads, dk).transpose(0, 2, 1, 3))
+    gy = np.matmul(gctx, np.swapaxes(vh, -1, -2))
+    gz = y * (gy - (gy * y).sum(axis=-1, keepdims=True)) * scale
+    gq = np.matmul(gz, np.swapaxes(kt, -1, -2))
+    gkt = np.matmul(np.swapaxes(qh, -1, -2), gz)
+    gv = np.matmul(np.swapaxes(y, -1, -2), gctx)
+    return (ctx, y, gq.transpose(0, 2, 1, 3).reshape(b, tq, d),
+            gkt.transpose(0, 3, 1, 2).reshape(b, tk, d),
+            gv.transpose(0, 2, 1, 3).reshape(b, tk, d))
+
+
+def expr_layer_norm(x, gain, bias, g, eps=1e-5):
+    d = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / d
+    xc = x - mu
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    dxhat = g * gain
+    term = dxhat - dxhat.sum(axis=-1, keepdims=True) / d \
+        - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
+    axes = tuple(range(g.ndim - 1))
+    return xhat * gain + bias, inv * term, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+
+def expr_log_softmax(x, g):
+    z = x - x.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    p = np.exp(logp)
+    return logp, g - p * g.sum(axis=-1, keepdims=True)
+
+
+# ---------------------------------------------------------------------------
 # straight-line transformer forward (plain numpy, eval mode only)
 # ---------------------------------------------------------------------------
 

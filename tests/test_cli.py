@@ -395,6 +395,20 @@ def test_train_unreadable_config_names_it_and_writes_nothing(tmp_path, capsys, r
     assert not out.exists()
 
 
+@pytest.mark.invariant
+@pytest.mark.parametrize("raw", [b'{"train": {"epochs": "x", "epochs": 0}}',
+                                 b'{"train": {"epochs": 0, "epochs": "x"}}'],
+                         ids=["bad_first", "bad_last"])
+def test_train_config_with_a_repeated_key_names_it_and_writes_nothing(tmp_path, capsys, raw):
+    """``json`` alone keeps the last of two equal keys, so one order trained
+    with the second value and the other failed on the first; both fail alike."""
+    config, out = tmp_path / "run.json", tmp_path / "run"
+    config.write_bytes(raw)
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {config}: key 'epochs' appears twice in one object\n"
+    assert not out.exists()
+
+
 def test_train_corpus_entry_without_src_fails(corpus_files, tmp_path, capsys):
     _, tgt = corpus_files
     cfg = _tiny_config(tmp_path / "unused.src", tgt)

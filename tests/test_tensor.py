@@ -7,6 +7,7 @@ import os
 import sys
 import threading
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +22,13 @@ from charnmt.tensor import (MaskError, NonFiniteError, ParameterSet, ShapeError,
                             log_softmax_lastdim, matmul, mul, no_grad, relu, require_finite,
                             rerun_checked, seed_for_name, tsum)
 from charnmt.training import AdamState, adam_step
-from oracles import (brute_conv1d, brute_layer_norm, heads_attention, naive_matmul,
+from charnmt.model import model_forward
+from charnmt.training import masked_cross_entropy
+from oracles import (brute_conv1d, brute_layer_norm, expr_add, expr_attention, expr_layer_norm,
+                     expr_linear, expr_log_softmax, expr_mul, heads_attention, naive_matmul,
                      stable_softmax)
 
-from conftest import rand_rng
+from conftest import make_batch, rand_rng
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +318,26 @@ def test_backward_accumulates_across_uses():
     x = Tensor(np.array([3.0]), requires_grad=True)
     tsum(add(x, x)).backward()
     assert np.allclose(x.grad, [2.0])
+
+
+@pytest.mark.invariant
+def test_backward_twice_on_one_graph_gives_each_leaf_twice_its_gradient():
+    """``y`` feeds both inputs of the add. Each call seeds the root afresh
+    and leaves no gradient on a tensor with a node, so the second call adds
+    exactly the first call's gradients: 2 x 6 = 12 on ``x``, where gradients
+    kept on ``y`` and ``z`` would compound to 30."""
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    a = Tensor(np.array(3.0), requires_grad=True)
+    y = mul(x, a)
+    s = add(y, y)
+    z = tsum(s)
+    z.backward()
+    once = x.grad.copy(), a.grad.copy()
+    assert np.array_equal(once[0], [6.0, 6.0]) and once[1] == -2.0
+    assert y.grad is None and s.grad is None and z.grad is None
+    z.backward()
+    assert np.array_equal(x.grad, 2.0 * once[0]) and a.grad == 2.0 * once[1]
+    assert y.grad is None and s.grad is None and z.grad is None
 
 
 def test_backward_rejects_non_scalar():
@@ -849,6 +873,63 @@ def test_linear_is_bit_equal_to_matmul_then_add(data):
         assert fused.tobytes() == chained.tobytes()
 
 
+def _with_signed_zeros(rng, a: np.ndarray) -> np.ndarray:
+    """``a`` with about a fifth of its entries set to +0.0 and a fifth to -0.0."""
+    a = np.array(a)
+    u = rng.random(a.shape)
+    a[u < 0.2] = 0.0
+    a[u > 0.8] = -0.0
+    return a
+
+
+_KEY_MASK = np.array([True, True, False, True, False])[None, None, None, :]
+# name: (op, its plain expression in oracles.py, input shapes); attention's
+# heads have depth 3, so that its scale 1/sqrt(3) rounds
+_EXPR_CASES = {
+    "add": (add, expr_add, [(2, 3, 4), (2, 3, 4)]),
+    "add_broadcast": (add, expr_add, [(2, 1, 4), (3, 1)]),
+    "add_scalar": (add, expr_add, [(3, 4), ()]),
+    "mul": (mul, expr_mul, [(2, 3, 4), (2, 3, 4)]),
+    "mul_broadcast": (mul, expr_mul, [(2, 1, 4), (3, 1)]),
+    "mul_scalar": (mul, expr_mul, [(3, 4), ()]),
+    "linear": (linear, expr_linear, [(2, 3, 5), (5, 4), (4,)]),
+    "linear_2d": (linear, expr_linear, [(3, 5), (5, 4), (4,)]),
+    "layer_norm": (layer_norm, expr_layer_norm, [(2, 3, 6), (6,), (6,)]),
+    "log_softmax": (log_softmax_lastdim, expr_log_softmax, [(2, 3, 7)]),
+    "attention": (lambda q, k, v: attention(q, k, v, 2),
+                  lambda q, k, v, g: expr_attention(q, k, v, 2, None, g),
+                  [(2, 3, 6), (2, 5, 6), (2, 5, 6)]),
+    "attention_key_mask": (lambda q, k, v: attention(q, k, v, 2, _KEY_MASK),
+                           lambda q, k, v, g: expr_attention(q, k, v, 2, _KEY_MASK, g),
+                           [(2, 3, 6), (2, 5, 6), (2, 5, 6)]),
+    "attention_causal": (lambda q, k, v: attention(q, k, v, 2, np.tri(4, dtype=bool)),
+                         lambda q, k, v, g: expr_attention(q, k, v, 2, np.tri(4, dtype=bool), g),
+                         [(2, 4, 6), (2, 4, 6), (2, 4, 6)]),
+}
+
+
+@pytest.mark.invariant
+@pytest.mark.parametrize("case", list(_EXPR_CASES))
+def test_ops_equal_their_plain_expressions_bit_for_bit(case):
+    """The ops that compute in place (or defer their gradients) give the
+    bytes of the expressions they replaced: every output (attention's map
+    too) and every input's gradient, with signed zeros in the inputs and
+    in the output's gradient."""
+    op, expr, shapes = _EXPR_CASES[case]
+    rng = rand_rng(43)
+    arrays = [_with_signed_zeros(rng, rng.normal(scale=3.0, size=shape)) for shape in shapes]
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    outs = op(*leaves)
+    outs = outs if isinstance(outs, tuple) else (outs,)
+    g = _with_signed_zeros(rng, rng.normal(size=outs[0].shape))
+    tsum(mul(outs[0], Tensor(g))).backward()
+    got = [t.data for t in outs] + [t.grad for t in leaves]
+    want = expr(*arrays, g)
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), i
+
+
 @settings(max_examples=40)
 @given(data=st.data())
 def test_attention_matches_per_head_oracle(data):
@@ -905,9 +986,13 @@ def test_linear_rejects_bad_shapes():
 
 
 @pytest.mark.invariant
-def test_first_gradients_are_private_copies_laid_out_like_data():
+def test_first_gradients_are_private_copies_laid_out_like_data(tiny_vocab):
     """``add`` hands one array to both parents; each keeps its own copy,
-    laid out like its own data, not like the array it was handed."""
+    laid out like its own data, not like the array it was handed. Over one
+    training step of each encoder kind, whether adopted or copied, the
+    gradient each rule receives and each parameter's gradient are laid out
+    like their tensor's data and no two share memory; afterwards only the
+    parameters hold a gradient."""
     rng = rand_rng(18)
     a = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
     b = Tensor(rng.normal(size=(6, 4)).T, requires_grad=True)
@@ -916,6 +1001,32 @@ def test_first_gradients_are_private_copies_laid_out_like_data():
     assert not np.shares_memory(a.grad, b.grad)
     assert a.grad.strides == a.data.strides and b.grad.strides == b.data.strides
     assert np.array_equal(a.grad, b.grad)
+
+    def recording(t, rule, g):
+        received.append((t.data, g))
+        return rule(g)
+
+    batch = make_batch([("abcd", "dcba"), ("ab", "ba"), ("dca", "acd")], tiny_vocab)
+    for kind in ("standard", "conv"):
+        config = ModelConfig(vocab_size=tiny_vocab.size, d_model=16, n_layers=2, n_heads=2,
+                             d_ff=32, max_len=64, encoder_kind=kind, dropout=0.1)
+        params = build_params(config, seed=7)
+        logits, _ = model_forward(batch, params, config, rng=rand_rng(3))
+        loss = masked_cross_entropy(logits, batch.tgt_out_ids, batch.tgt_mask, 0.1)
+        received, taped, todo = [], {}, [loss]
+        while todo:
+            t = todo.pop()
+            if t.node is not None and id(t) not in taped:
+                taped[id(t)] = t
+                t.node.backward = partial(recording, t, t.node.backward)
+                todo.extend(t.node.inputs)
+        loss.backward()
+        assert len(received) == len(taped), kind
+        grads = received + [(p.data, p.grad) for _, p in params.items()]
+        for i, (data, g) in enumerate(grads):
+            assert g.shape == data.shape and g.strides == data.strides, (kind, i)
+            assert not any(np.shares_memory(g, h) for _, h in grads[i + 1:]), (kind, i)
+        assert all(t.grad is None for t in taped.values()), kind
 
 
 def test_embedding_gradients():
